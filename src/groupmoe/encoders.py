@@ -13,7 +13,6 @@ import numpy as np
 
 from . import tensor as T
 from .nn import LayerNorm, Linear, ParamStore, scaled_dot_attention, uniform_init
-from .panel import DayBatch
 from .tensor import Tensor
 
 
@@ -190,8 +189,3 @@ def build_encoder(cfg: EncoderConfig, n_features: int, window: int, rng: np.rand
     if problems:
         raise EncoderConfigError("; ".join(problems))
     return _KINDS[cfg.kind](cfg, n_features, window, rng)
-
-
-def encode(encoder, batch: DayBatch) -> HiddenStates:
-    """Run an encoder over a day batch's windows."""
-    return HiddenStates(z=encoder(Tensor(batch.windows)), day=batch.day)

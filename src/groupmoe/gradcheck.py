@@ -14,8 +14,10 @@ import numpy as np
 
 from .encoders import EncoderConfig
 from .moe import Forecaster, MoEConfig
-from .objective import LossWeights, expert_loss, router_loss, total_loss
+from .objective import LossWeights
 from .panel import DayBatch
+from .tensor import Tensor
+from .train import day_loss
 
 DEFAULT_TOLERANCE = 1e-4
 
@@ -49,15 +51,8 @@ def check_model(model: Forecaster, batches: list[DayBatch], weights: LossWeights
     """One row per parameter group; ``corrupt`` perturbs that group's
     analytic gradient (negative-control hook for tests)."""
 
-    def loss_value() -> float:
-        preds, labels, logits = [], [], []
-        for b in batches:
-            y_hat, decision, _ = model.forward(b)
-            preds.append(y_hat)
-            labels.append(b.labels)
-            logits.append(decision.logits)
-        total, _ = total_loss(expert_loss(preds, labels), router_loss(logits), weights)
-        return total
+    def loss_value() -> Tensor:
+        return day_loss(model, batches, weights)[0]
 
     model.zero_grad()
     loss_value().backward()

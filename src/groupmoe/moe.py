@@ -3,11 +3,12 @@
 Per stock: a linear gate maps the encoder state to one logit per
 (group, expert) slot; the top-k logits (flat across groups, ties to the
 lowest index) are softmax-normalized and all other weights are exactly
-zero. Every slot applies its own affine expert to the same state. Within
+zero. Every slot applies its own affine expert to the same state; the
+G*E experts form one weight bank applied with a single matmul. Within
 each group the E expert vectors attend to each other (multi-head
-self-attention plus a residual), then a shared linear readout turns each
-slot's vector into a scalar and the gate weights combine them into the
-final prediction.
+self-attention plus a residual, all groups in one batched call), then a
+shared linear readout turns each slot's vector into a scalar and the
+gate weights combine them into the final prediction.
 """
 
 from __future__ import annotations
@@ -94,21 +95,18 @@ class MoEHead:
         self.store = ParamStore("moe.")
         g, e, d_e = cfg.groups, cfg.experts_per_group, cfg.d_e
         self.gate = Linear(self.store, "gate", d_h, g * e, rng)
-        self.experts = [
-            [Linear(self.store, f"expert.g{j}e{k}", d_h, d_e, rng) for k in range(e)]
-            for j in range(g)
-        ]
-        self.group_attn = []
-        for j in range(g):
-            self.group_attn.append(
-                {
-                    "q": self.store.add(f"agg.g{j}.Wq", uniform_init(rng, d_e, (d_e, d_e))),
-                    "k": self.store.add(f"agg.g{j}.Wk", uniform_init(rng, d_e, (d_e, d_e))),
-                    "v": self.store.add(f"agg.g{j}.Wv", uniform_init(rng, d_e, (d_e, d_e))),
-                }
-            )
+        # slot s = j*E + k (group j, expert k) owns bank columns
+        # [s*d_e, (s+1)*d_e); the draws are made slot by slot, as for
+        # per-slot weights, so a seed gives the same initial values
+        slots = uniform_init(rng, d_h, (g * e, d_h, d_e))
+        self.expert_W = self.store.add("experts.W", slots.transpose(1, 0, 2).reshape(d_h, g * e * d_e))
+        self.expert_b = self.store.add("experts.b", np.zeros(g * e * d_e))
+        wq, wk, wv = uniform_init(rng, d_e, (g, 3, d_e, d_e)).transpose(1, 0, 2, 3)
+        self.Wq = self.store.add("agg.Wq", wq.copy())  # [G, d_e, d_e], one per group
+        self.Wk = self.store.add("agg.Wk", wk.copy())
+        self.Wv = self.store.add("agg.Wv", wv.copy())
         self.readout = Linear(self.store, "readout", d_e, 1, rng)
-        self.last_attention: dict[int, np.ndarray] = {}
+        self.last_attention: np.ndarray | None = None  # [G, N, heads, E, E]
 
     def named_parameters(self):
         return self.store.named_parameters()
@@ -131,30 +129,24 @@ class MoEHead:
 
     def run_experts(self, z: HiddenStates) -> Tensor:
         """[N, G, E, d_e]: one independent affine map per slot on the shared state."""
-        groups = []
-        for row in self.experts:
-            groups.append(T.stack([lin(z.z) for lin in row], axis=1))  # [N, E, d_e]
-        return T.stack(groups, axis=1)
-
-    def aggregate_group(self, raw: Tensor, group: int) -> Tensor:
-        """Mix one group's expert vectors by self-attention; residual added.
-
-        Attention always runs over all E experts of the group; selection
-        only masks contributions later, at combination time.
-        """
-        o = raw[:, group]  # [N, E, d_e]
-        if not self.cfg.inner_attention:
-            return o
-        attn = self.group_attn[group]
-        q = T.matmul(o, attn["q"])
-        k = T.matmul(o, attn["k"])
-        v = T.matmul(o, attn["v"])
-        mixed, probs = scaled_dot_attention(q, k, v, self.cfg.agg_heads)
-        self.last_attention[group] = probs.data
-        return T.add(o, mixed)
+        cfg = self.cfg
+        out = T.add(T.matmul(z.z, self.expert_W), self.expert_b)  # [N, G*E*d_e]
+        return out.reshape(z.z.shape[0], cfg.groups, cfg.experts_per_group, cfg.d_e)
 
     def aggregate(self, raw: Tensor) -> Tensor:
-        return T.stack([self.aggregate_group(raw, j) for j in range(self.cfg.groups)], axis=1)
+        """Mix each group's expert vectors by self-attention; residual added.
+
+        Attention runs over all E experts of a group, for every group at
+        once; selection only masks contributions later, at combination time.
+        """
+        if not self.cfg.inner_attention:
+            return raw
+        n, g, e, d_e = raw.shape
+        o = T.transpose(raw, (1, 0, 2, 3)).reshape(g, n * e, d_e)
+        q, k, v = (T.matmul(o, w).reshape(g * n, e, d_e) for w in (self.Wq, self.Wk, self.Wv))
+        mixed, probs = scaled_dot_attention(q, k, v, self.cfg.agg_heads)
+        self.last_attention = probs.data.reshape(g, n, *probs.shape[1:])
+        return T.add(raw, T.transpose(mixed.reshape(g, n, e, d_e), (1, 0, 2, 3)))
 
     def readout_slots(self, mixed: Tensor) -> Tensor:
         """Shared scalar readout per slot: [N, G, E, d_e] -> [N, G, E]."""

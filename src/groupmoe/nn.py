@@ -25,9 +25,6 @@ class ParamStore:
         self._params.append((self.prefix + name, t))
         return t
 
-    def merge(self, other: "ParamStore") -> None:
-        self._params.extend(other._params)
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self._params)
 

@@ -95,12 +95,6 @@ def router_loss(logits_by_day: list[Tensor]) -> Tensor:
     return total
 
 
-def router_loss_averaged(logits_by_day: list[Tensor]) -> Tensor:
-    """Per-logit-count averaged variant, for scale robustness (config switch)."""
-    count = sum(int(np.prod(h.shape)) for h in logits_by_day)
-    return T.div(router_loss(logits_by_day), T.Tensor(float(count)))
-
-
 def total_loss(expert: Tensor, router: Tensor, weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
     total = T.add(T.mul(T.Tensor(weights.beta), expert), T.mul(T.Tensor(weights.alpha), router))
     breakdown = LossBreakdown(

@@ -377,9 +377,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     ax = axis % a.ndim if a.ndim else 0
     if a.ndim == 0 or a.shape[ax] == 0:
         raise ShapeError(f"softmax: empty axis {axis} of shape {a.shape}")
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=ax, keepdims=True)
+    s = a.data - a.data.max(axis=ax, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=ax, keepdims=True)
 
     def vjp(g):
         return s * (g - (g * s).sum(axis=ax, keepdims=True))

@@ -21,10 +21,10 @@ from . import tensor as T
 from .encoders import EncoderConfig
 from .metrics import daily_ic
 from .moe import Forecaster, MoEConfig
-from .objective import LossBreakdown, LossWeights, expert_loss, router_loss, router_loss_averaged, total_loss
+from .objective import LossBreakdown, LossWeights, expert_loss, router_loss, total_loss
 from .panel import DayBatch, NormStats
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NumericalError(RuntimeError):
@@ -42,8 +42,6 @@ class TrainConfig:
     patience: int = 10
     batch_days: int = 1
     seed: int = 0
-    grad_clip: float | None = None  # hook, default off
-    average_router_loss: bool = False
 
     def validate(self) -> list[str]:
         problems = []
@@ -70,16 +68,12 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in params}
         self.v = {name: np.zeros_like(p.data) for name, p in params}
 
-    def step(self, grad_clip: float | None = None) -> None:
+    def step(self) -> None:
         self.t += 1
         for name, p in self.params:
             if p.grad is None:
                 continue
             g = p.grad
-            if grad_clip is not None:
-                norm = float(np.sqrt((g * g).sum()))
-                if norm > grad_clip:
-                    g = g * (grad_clip / norm)
             m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             m_hat = m / (1 - self.beta1**self.t)
@@ -95,21 +89,23 @@ class Adam:
         self.v = {k: np.asarray(v, dtype=np.float64) for k, v in state["v"].items()}
 
 
+def day_loss(model: Forecaster, batches: list[DayBatch], weights: LossWeights) -> tuple[T.Tensor, LossBreakdown]:
+    """Forward pass over whole days plus the weighted expert and router loss."""
+    preds, labels, logits = [], [], []
+    for batch in batches:
+        y_hat, decision, _ = model.forward(batch)
+        preds.append(y_hat)
+        labels.append(batch.labels)
+        logits.append(decision.logits)
+    return total_loss(expert_loss(preds, labels), router_loss(logits), weights)
+
+
 def step(model: Forecaster, day_batches: list[DayBatch], optimizer: Adam,
          cfg: TrainConfig, weights: LossWeights) -> LossBreakdown:
     """One gradient step over a list of whole days."""
     if not day_batches:
         raise ValueError("step needs at least one day batch")
-    preds, labels, logits = [], [], []
-    for batch in day_batches:
-        y_hat, decision, _ = model.forward(batch)
-        preds.append(y_hat)
-        labels.append(batch.labels)
-        logits.append(decision.logits)
-    e_loss = expert_loss(preds, labels)
-    r_fn = router_loss_averaged if cfg.average_router_loss else router_loss
-    r_loss = r_fn(logits)
-    total, breakdown = total_loss(e_loss, r_loss, weights)
+    total, breakdown = day_loss(model, day_batches, weights)
     if not np.isfinite(breakdown.total):
         days = [b.day for b in day_batches]
         raise NumericalError(f"non-finite loss {breakdown.total} on day(s) {days}")
@@ -119,7 +115,7 @@ def step(model: Forecaster, day_batches: list[DayBatch], optimizer: Adam,
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             days = [b.day for b in day_batches]
             raise NumericalError(f"non-finite gradient in {name} on day(s) {days}")
-    optimizer.step(grad_clip=cfg.grad_clip)
+    optimizer.step()
     return breakdown
 
 
@@ -239,56 +235,69 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
     }
 
 
-# -- checkpoints -------------------------------------------------------------
+# -- archives --------------------------------------------------------------------
 #
-# A checkpoint is one npz archive: every parameter under "param/<path>",
-# plus a JSON metadata entry with the version, both configs, the window
-# length, the feature count, and the normalization statistics.
+# Checkpoints and train states are npz archives of named arrays plus one
+# JSON metadata entry that records the format version and the archive kind
+# ("model" or "train_state"), so one file is never read as the other.
 
 
-def save_checkpoint(model: Forecaster, path: str | Path, norm: NormStats | None = None,
-                    state: dict | None = None) -> None:
+def _write_archive(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    meta = {"version": CHECKPOINT_VERSION, "kind": kind, **meta}
+    blob = json.dumps(meta, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.frombuffer(blob, dtype=np.uint8), **arrays)
+
+
+def _read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of an archive of the given kind at the supported version."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if "__meta__" not in npz:
+                raise CheckpointError(f"{path}: not a {kind} archive (no metadata entry)")
+            meta = json.loads(bytes(npz["__meta__"]).decode())
+            arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+    except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError) as e:
+        if isinstance(e, CheckpointError):
+            raise
+        raise CheckpointError(f"{path}: unreadable {kind} archive ({e})") from None
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: archive version {version} != supported {CHECKPOINT_VERSION}")
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: is a {meta.get('kind')} archive, expected a {kind} archive")
+    return meta, arrays
+
+
+def _section(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+
+# -- checkpoints -------------------------------------------------------------
+#
+# A model checkpoint holds every parameter under "param/<path>"; its
+# metadata adds both configs, the window length, the feature count, and
+# the normalization statistics.
+
+
+def save_checkpoint(model: Forecaster, path: str | Path, norm: NormStats | None = None) -> None:
     meta = {
-        "version": CHECKPOINT_VERSION,
         "encoder": asdict(model.encoder_cfg),
         "moe": asdict(model.moe_cfg),
         "window": model.window,
         "n_features": model.n_features,
         "normalization": norm.to_dict() if norm is not None else None,
     }
-    if state is not None:
-        meta["state"] = state
     arrays = {f"param/{name}": p.data for name, p in model.named_parameters()}
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-                 **arrays)
-
-
-def read_checkpoint(path: str | Path) -> tuple[dict, dict]:
-    """Raw (meta, arrays) from a checkpoint archive."""
-    try:
-        with np.load(path) as npz:
-            if "__meta__" not in npz:
-                raise CheckpointError(f"{path}: not a model checkpoint (no metadata entry)")
-            meta = json.loads(bytes(npz["__meta__"]).decode())
-            arrays = {k[len("param/"):]: npz[k] for k in npz.files if k.startswith("param/")}
-    except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError) as e:
-        if isinstance(e, CheckpointError):
-            raise
-        raise CheckpointError(f"{path}: unreadable checkpoint ({e})") from None
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint version {meta.get('version')} != supported {CHECKPOINT_VERSION}"
-        )
-    return meta, arrays
+    _write_archive(path, "model", meta, arrays)
 
 
 def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = None,
                     expect_moe: MoEConfig | None = None) -> tuple[Forecaster, dict]:
     """Rebuild the model from a checkpoint; optional config guards."""
-    meta, arrays = read_checkpoint(path)
+    meta, arrays = _read_archive(path, "model")
     enc_cfg = EncoderConfig(**meta["encoder"])
     moe_cfg = MoEConfig(**meta["moe"])
     if expect_encoder is not None and asdict(expect_encoder) != asdict(enc_cfg):
@@ -300,7 +309,7 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
             f"{path}: checkpoint moe config {asdict(moe_cfg)} does not match requested {asdict(expect_moe)}"
         )
     model = Forecaster(enc_cfg, moe_cfg, n_features=meta["n_features"], window=meta["window"], seed=0)
-    model.load_state_arrays(arrays)
+    model.load_state_arrays(_section(arrays, "param/"))
     return model, meta
 
 
@@ -309,10 +318,7 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
 
 def save_train_state(path: str | Path, state: dict, model: Forecaster) -> None:
     """Separate archive with everything needed to continue training."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
-        "version": CHECKPOINT_VERSION,
         "encoder": asdict(model.encoder_cfg),
         "moe": asdict(model.moe_cfg),
         "epoch": state["epoch"],
@@ -322,52 +328,25 @@ def save_train_state(path: str | Path, state: dict, model: Forecaster) -> None:
         "optimizer_t": state["optimizer"]["t"],
         "rng_state": state["rng_state"],
     }
-    arrays = {}
-    for name, arr in state["params"].items():
-        arrays[f"param/{name}"] = arr
-    for name, arr in state["best_params"].items():
-        arrays[f"best/{name}"] = arr
-    for name, arr in state["optimizer"]["m"].items():
-        arrays[f"adam_m/{name}"] = arr
-    for name, arr in state["optimizer"]["v"].items():
-        arrays[f"adam_v/{name}"] = arr
-    with open(path, "wb") as fh:
-        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta, sort_keys=True, default=str).encode(), dtype=np.uint8), **arrays)
+    sections = {"param/": state["params"], "best/": state["best_params"],
+                "adam_m/": state["optimizer"]["m"], "adam_v/": state["optimizer"]["v"]}
+    arrays = {prefix + name: arr for prefix, named in sections.items() for name, arr in named.items()}
+    _write_archive(path, "train_state", meta, arrays)
 
 
 def load_train_state(path: str | Path, model: Forecaster) -> dict:
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            meta = json.loads(bytes(npz["__meta__"]).decode())
-            groups = {"param/": {}, "best/": {}, "adam_m/": {}, "adam_v/": {}}
-            for key in npz.files:
-                for prefix, d in groups.items():
-                    if key.startswith(prefix):
-                        d[key[len(prefix):]] = npz[key]
-    except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError) as e:
-        raise CheckpointError(f"{path}: unreadable train state ({e})") from None
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: train state version mismatch")
+    meta, arrays = _read_archive(path, "train_state")
     if meta["encoder"] != asdict(model.encoder_cfg) or meta["moe"] != asdict(model.moe_cfg):
         raise CheckpointError(f"{path}: train state was written for a different model configuration")
-    rng_state = meta["rng_state"]
-    # json round-trips the PCG64 state ints as strings via default=str
-    rng_state = _parse_rng_state(rng_state)
     return {
-        "params": groups["param/"],
-        "best_params": groups["best/"],
-        "optimizer": {"t": int(meta["optimizer_t"]), "m": groups["adam_m/"], "v": groups["adam_v/"]},
-        "rng_state": rng_state,
+        "params": _section(arrays, "param/"),
+        "best_params": _section(arrays, "best/"),
+        "optimizer": {"t": int(meta["optimizer_t"]), "m": _section(arrays, "adam_m/"),
+                      "v": _section(arrays, "adam_v/")},
+        "rng_state": meta["rng_state"],
         "epoch": int(meta["epoch"]),
         "best_val_ic": float(meta["best_val_ic"]),
         "best_epoch": int(meta["best_epoch"]),
         "epochs_since_best": int(meta["epochs_since_best"]),
     }
 
-
-def _parse_rng_state(obj):
-    if isinstance(obj, dict):
-        return {k: _parse_rng_state(v) for k, v in obj.items()}
-    if isinstance(obj, str) and obj.isdigit():
-        return int(obj)
-    return obj

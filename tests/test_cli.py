@@ -204,6 +204,20 @@ def test_eval_refuses_mismatched_features(trained, tmp_path, capsys):
     assert "refus" in capsys.readouterr().err
 
 
+def test_train_resume_from_checkpoint_is_data_error(trained, capsys):
+    cfg, out = trained
+    assert cli.main(["train", "--config", str(cfg), "--resume", str(out / "checkpoint.npz")]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and "train_state" in err
+
+
+def test_eval_train_state_as_checkpoint_is_data_error(trained, capsys):
+    cfg, out = trained
+    assert cli.main(["eval", "--config", str(cfg), "--checkpoint", str(out / "train_state.npz")]) == 2
+    err = capsys.readouterr().err
+    assert "train_state.npz" in err and "model" in err
+
+
 def test_backtest_command(trained, capsys):
     cfg, out = trained
     assert cli.main(["backtest", "--config", str(cfg), "--mode", "long_short"]) == 0

@@ -5,7 +5,6 @@ import pytest
 
 from groupmoe import encoders as E
 from groupmoe import tensor as T
-from groupmoe.panel import DayBatch
 
 from conftest import finite_diff_grad, rel_err
 
@@ -153,11 +152,3 @@ def test_encoder_gradients_finite_difference(kind, rng):
 
         numeric = finite_diff_grad(scalar_fn, p.data.copy())
         assert rel_err(analytic, numeric) < 1e-4, f"gradient mismatch for {name}"
-
-
-def test_encode_wraps_daybatch(rng):
-    enc, cfg = make_encoder("conv")
-    batch = DayBatch(day="d005", windows=rand_windows(rng), labels=np.zeros(4), stock_ids=[f"s{i}" for i in range(4)])
-    hs = E.encode(enc, batch)
-    assert hs.day == "d005"
-    assert hs.z.shape == (4, cfg.d_h)

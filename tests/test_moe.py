@@ -94,33 +94,41 @@ def test_routing_tie_break_lowest_flat_index():
 # -- experts ---------------------------------------------------------------------
 
 
+def slot_weights(head, j, k):
+    """(W [d_h, d_e], b [d_e]) of slot (group j, expert k), sliced from the bank."""
+    cfg = head.cfg
+    lo = (j * cfg.experts_per_group + k) * cfg.d_e
+    cols = slice(lo, lo + cfg.d_e)
+    return head.expert_W.data[:, cols], head.expert_b.data[cols]
+
+
 def test_run_experts_zeros():
     head, cfg = make_head()
-    for row in head.experts:
-        for lin in row:
-            lin.W.data = np.zeros_like(lin.W.data)
-            lin.b.data = np.zeros_like(lin.b.data)
+    head.expert_W.data = np.zeros_like(head.expert_W.data)
+    head.expert_b.data = np.zeros_like(head.expert_b.data)
     o = head.run_experts(hidden(np.random.default_rng(0)))
     assert np.max(np.abs(o.data)) == 0.0
 
 
 def test_run_experts_zero_state_gives_bias():
     head, cfg = make_head(g=2, e=2)
+    head.expert_b.data = np.random.default_rng(1).normal(size=head.expert_b.shape)
     z = HiddenStates(z=T.Tensor(np.zeros((3, 6))), day="d")
     o = head.run_experts(z).data
     for j in range(2):
         for k in range(2):
-            assert np.allclose(o[:, j, k, :], head.experts[j][k].b.data)
+            assert np.allclose(o[:, j, k, :], slot_weights(head, j, k)[1])
 
 
 def test_run_experts_per_slot_oracle(rng):
     head, cfg = make_head(g=2, e=3)
+    head.expert_b.data = rng.normal(size=head.expert_b.shape)
     z = hidden(rng, n=4)
     o = head.run_experts(z).data
     for j in range(2):
         for k in range(3):
-            lin = head.experts[j][k]
-            want = z.z.data @ lin.W.data + lin.b.data
+            w, b = slot_weights(head, j, k)
+            want = z.z.data @ w + b
             assert np.max(np.abs(o[:, j, k, :] - want)) < 1e-12
 
 
@@ -130,8 +138,8 @@ def test_run_experts_per_slot_oracle(rng):
 def test_aggregate_single_expert_is_value_path(rng):
     head, cfg = make_head(g=1, e=1, k=1, d_e=4, heads=2)
     o = T.Tensor(rng.normal(size=(3, 1, 1, 4)))
-    mixed = head.aggregate_group(o, 0).data
-    want = o.data[:, 0] + o.data[:, 0] @ head.group_attn[0]["v"].data
+    mixed = head.aggregate(o).data[:, 0]
+    want = o.data[:, 0] + o.data[:, 0] @ head.Wv.data[0]
     assert rel_err(mixed, want) < 1e-12
 
 
@@ -139,37 +147,37 @@ def test_aggregate_identical_experts_uniform_attention(rng):
     head, cfg = make_head(g=1, e=4, k=2, d_e=4, heads=2)
     vec = rng.normal(size=(2, 1, 4))
     o = T.Tensor(np.broadcast_to(vec[:, :, None, :], (2, 1, 4, 4)).copy())
-    head.aggregate_group(o, 0)
+    head.aggregate(o)
     assert np.allclose(head.last_attention[0], 0.25, atol=1e-12)
 
 
-def test_aggregate_matches_loop_oracle(rng):
-    head, cfg = make_head(g=1, e=3, k=1, d_e=4, heads=2)
-    o3 = rng.normal(size=(2, 3, 4))  # [N, E, d_e]
-    o = T.Tensor(o3[:, None, :, :].copy())
-    got = head.aggregate_group(o, 0).data
+@pytest.mark.parametrize("g", [1, 3])
+def test_aggregate_matches_loop_oracle(g, rng):
+    head, cfg = make_head(g=g, e=3, k=1, d_e=4, heads=2)
+    o4 = rng.normal(size=(2, g, 3, 4))  # [N, G, E, d_e]
+    got = head.aggregate(T.Tensor(o4)).data
 
-    wq = head.group_attn[0]["q"].data
-    wk = head.group_attn[0]["k"].data
-    wv = head.group_attn[0]["v"].data
     heads, d_e = 2, 4
     dh = d_e // heads
-    want = np.zeros_like(o3)
-    for n in range(2):
-        q = o3[n] @ wq
-        k = o3[n] @ wk
-        v = o3[n] @ wv
-        out = np.zeros((3, d_e))
-        for h in range(heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-            for a in range(3):
-                scores = np.array([qh[a] @ kh[b] / math.sqrt(dh) for b in range(3)])
-                ex = np.exp(scores - scores.max())
-                probs = ex / ex.sum()
-                for b in range(3):
-                    out[a, sl] += probs[b] * vh[b]
-        want[n] = o3[n] + out
+    want = np.zeros_like(o4)
+    for j in range(g):
+        # each group attends with its own projections, over its own experts only
+        wq, wk, wv = head.Wq.data[j], head.Wk.data[j], head.Wv.data[j]
+        for n in range(2):
+            q = o4[n, j] @ wq
+            k = o4[n, j] @ wk
+            v = o4[n, j] @ wv
+            out = np.zeros((3, d_e))
+            for h in range(heads):
+                sl = slice(h * dh, (h + 1) * dh)
+                qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
+                for a in range(3):
+                    scores = np.array([qh[a] @ kh[b] / math.sqrt(dh) for b in range(3)])
+                    ex = np.exp(scores - scores.max())
+                    probs = ex / ex.sum()
+                    for b in range(3):
+                        out[a, sl] += probs[b] * vh[b]
+            want[n, j] = o4[n, j] + out
     assert rel_err(got, want) < 1e-10
 
 
@@ -177,8 +185,8 @@ def test_aggregate_expert_permutation_equivariance(rng):
     head, cfg = make_head(g=1, e=4, d_e=4, heads=2)
     o3 = rng.normal(size=(3, 1, 4, 4))
     perm = np.random.default_rng(5).permutation(4)
-    base = head.aggregate_group(T.Tensor(o3), 0).data
-    permed = head.aggregate_group(T.Tensor(o3[:, :, perm, :].copy()), 0).data
+    base = head.aggregate(T.Tensor(o3)).data[:, 0]
+    permed = head.aggregate(T.Tensor(o3[:, :, perm, :].copy())).data[:, 0]
     assert rel_err(permed, base[:, perm, :]) < 1e-10
 
 

@@ -124,13 +124,6 @@ def test_router_loss_nonnegative_iff_constant(rng):
         assert (val == 0.0) == (spread == 0.0)
 
 
-def test_router_loss_averaged_variant(rng):
-    h = rng.normal(size=(4, 2, 3))
-    full = O.router_loss([T.Tensor(h)]).item()
-    avg = O.router_loss_averaged([T.Tensor(h)]).item()
-    assert avg == pytest.approx(full / 24)
-
-
 def test_router_loss_descent_shrinks_spread(rng):
     # minimizing the router loss alone drives the per-stock logit spread to 0
     h = T.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
