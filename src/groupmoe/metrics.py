@@ -93,15 +93,13 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     n = x.shape[0]
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
     sorted_x = x[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # A run of ties starts wherever a sorted value differs from the one
+    # before it; NaN equals nothing, so every NaN is a run of its own.
+    starts = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -9,9 +9,11 @@ relative price move from t+1 to t+2, so execution happens at t+1 prices.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,13 +63,17 @@ class StockPanel:
 
     def observed(self) -> np.ndarray:
         """Boolean [n_stocks, n_days]: price and full feature vector present."""
-        return ~(np.isnan(self.prices) | np.isnan(self.features).any(axis=2))
+        return _observed(self.prices, self.features)
 
     def day_index(self, day: str) -> int:
-        try:
-            return self.days.index(day)
-        except ValueError:
-            raise KeyError(f"day {day!r} not in panel") from None
+        t = bisect.bisect_left(self.days, day)
+        if t == len(self.days) or self.days[t] != day:
+            raise KeyError(f"day {day!r} not in panel")
+        return t
+
+
+def _observed(prices: np.ndarray, features: np.ndarray) -> np.ndarray:
+    return ~(np.isnan(prices) | np.isnan(features).any(axis=2))
 
 
 @dataclass
@@ -153,48 +159,49 @@ def slice_day(panel: StockPanel, day: str, window: int) -> DayBatch:
             f"day {day!r} at index {t} has fewer than {window} prior days"
         )
     lo = t - window + 1
-    obs = panel.observed()
-    order = np.argsort(np.asarray(panel.stocks, dtype=object), kind="stable")
-    rows, labels, ids = [], [], []
-    for s in order:
-        if not obs[s, lo : t + 1].all():
-            continue
-        y = compute_label(panel.prices[s], t)
-        if y is None:
-            continue
-        rows.append(panel.features[s, lo : t + 1, :])
-        labels.append(y)
-        ids.append(panel.stocks[s])
-    windows = np.stack(rows) if rows else np.empty((0, window, panel.n_features))
-    return DayBatch(day=day, windows=windows, labels=np.asarray(labels, dtype=np.float64), stock_ids=ids)
+    complete = _observed(panel.prices[:, lo : t + 1], panel.features[:, lo : t + 1]).all(axis=1)
+    return _day_batch(panel, t, window, complete, _id_order(panel.stocks))
+
+
+def _id_order(stocks: list[str]) -> np.ndarray:
+    return np.argsort(np.asarray(stocks, dtype=object), kind="stable")
+
+
+def _day_batch(panel: StockPanel, t: int, window: int, complete: np.ndarray, order: np.ndarray) -> DayBatch:
+    """Batch for day index t from ``complete`` ([n_stocks], whole window
+    observed); rows follow ``order``, the stocks' identifier order."""
+    keep = complete[order]
+    if t + 2 < len(panel.days):
+        p1, p2 = panel.prices[order, t + 1], panel.prices[order, t + 2]
+        keep &= ~(np.isnan(p1) | np.isnan(p2))
+        bad = np.flatnonzero(keep & (p1 <= 0))
+        if bad.size:
+            raise PanelError(f"non-positive price {p1[bad[0]]} at label base index {t + 1}")
+        labels = ((p2[keep] - p1[keep]) / p1[keep]).astype(np.float64, copy=False)
+    else:
+        keep[:] = False
+        labels = np.empty(0)
+    rows = order[keep]
+    return DayBatch(day=panel.days[t], windows=panel.features[rows, t - window + 1 : t + 1],
+                    labels=labels, stock_ids=[panel.stocks[s] for s in rows.tolist()])
 
 
 def _boundary_index(days: list[str], ident: str) -> int:
     """Number of panel days strictly before ``ident``."""
-    lo = 0
-    for i, d in enumerate(days):
-        if d < ident:
-            lo = i + 1
-        else:
-            break
-    return lo
+    return bisect.bisect_left(days, ident)
+
+
+def _split_days(days: list[str], interval: tuple[str, str], window: int) -> range:
+    """Indices t of the eligible batch days of ``interval`` (see days_in_split)."""
+    start, end = interval
+    end_idx = _boundary_index(days, end)
+    return range(max(_boundary_index(days, start), window), min(end_idx - 1, len(days) - 2))
 
 
 def days_in_split(panel: StockPanel, interval: tuple[str, str], window: int) -> list[str]:
     """Eligible batch days: in [start, end), enough history, and label
     horizon t+2 not reaching past the interval's end boundary."""
-    start, end = interval
-    end_idx = _boundary_index(panel.days, end)
-    out = []
-    for t, day in enumerate(panel.days):
-        if not (start <= day < end):
-            continue
-        if t < window:
-            continue
-        if t + 2 > end_idx or t + 2 >= len(panel.days):
-            continue
-        out.append(day)
-    return out
+    return [panel.days[t] for t in _split_days(panel.days, interval, window)]
 
 
 def split(panel: StockPanel, spec: SplitSpec, window: int) -> tuple[list[DayBatch], list[DayBatch], list[DayBatch]]:
@@ -202,9 +209,19 @@ def split(panel: StockPanel, spec: SplitSpec, window: int) -> tuple[list[DayBatc
     problems = spec.validate()
     if problems:
         raise ConfigError("; ".join(problems))
+    # seen[:, i] counts the observed days before index i, so a stock's
+    # window ending at t is complete when seen[:, t+1] - seen[:, t+1-window]
+    # equals the window length.
+    obs = panel.observed()
+    seen = np.zeros((obs.shape[0], obs.shape[1] + 1), dtype=np.int64)
+    np.cumsum(obs, axis=1, out=seen[:, 1:])
+    order = _id_order(panel.stocks)
     streams = []
     for interval in (spec.train, spec.validation, spec.test):
-        batches = [slice_day(panel, d, window) for d in days_in_split(panel, interval, window)]
+        days = _split_days(panel.days, interval, window)
+        ts = np.arange(days.start, days.stop)
+        complete = seen[:, ts + 1] - seen[:, ts + 1 - window] == window
+        batches = [_day_batch(panel, t, window, complete[:, i], order) for i, t in enumerate(ts.tolist())]
         streams.append([b for b in batches if b.n_stocks > 0])
     return streams[0], streams[1], streams[2]
 
@@ -263,7 +280,10 @@ def load_csv(path: str | Path) -> StockPanel:
             raise PanelError(f"{path}: feature columns must be f_0..f_{{D-1}}, got {feat_cols}")
         d_feat = len(feat_cols)
 
-        rows: dict[tuple[str, str], tuple[float, list[float]]] = {}
+        # values holds each row's price and features back to back; keys
+        # holds the rows' (stock, day) keys in file order.
+        values = array("d")
+        keys: dict[tuple[str, str], None] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -273,24 +293,25 @@ def load_csv(path: str | Path) -> StockPanel:
             if not stock or not day:
                 raise PanelError(f"{path}:{lineno}: empty stock_id or day")
             try:
-                price = float(row[2]) if row[2] != "" else math.nan
-                feats = [float(v) if v != "" else math.nan for v in row[3:]]
+                values.fromlist([float(v) if v != "" else math.nan for v in row[2:]])
             except ValueError as e:
                 raise PanelError(f"{path}:{lineno}: {e}") from None
             key = (stock, day)
-            if key in rows:
+            if key in keys:
                 raise PanelError(f"{path}:{lineno}: duplicate (stock, day) key {key}")
-            rows[key] = (price, feats)
+            keys[key] = None
 
-    stocks = sorted({k[0] for k in rows})
-    days = sorted({k[1] for k in rows})
-    features = np.full((len(stocks), len(days), d_feat), np.nan)
-    prices = np.full((len(stocks), len(days)), np.nan)
+    stocks = sorted({k[0] for k in keys})
+    days = sorted({k[1] for k in keys})
     s_idx = {s: i for i, s in enumerate(stocks)}
     d_idx = {d: i for i, d in enumerate(days)}
-    for (stock, day), (price, feats) in rows.items():
-        features[s_idx[stock], d_idx[day], :] = feats
-        prices[s_idx[stock], d_idx[day]] = price
+    si = np.fromiter((s_idx[s] for s, _ in keys), dtype=np.intp, count=len(keys))
+    di = np.fromiter((d_idx[d] for _, d in keys), dtype=np.intp, count=len(keys))
+    cells = np.frombuffer(values, dtype=np.float64).reshape(len(keys), 1 + d_feat)
+    features = np.full((len(stocks), len(days), d_feat), np.nan)
+    prices = np.full((len(stocks), len(days)), np.nan)
+    prices[si, di] = cells[:, 0]
+    features[si, di] = cells[:, 1:]
     return StockPanel(stocks=stocks, days=days, features=features, prices=prices)
 
 
@@ -302,15 +323,17 @@ def save_csv(panel: StockPanel, path: str | Path, norm: NormStats | None = None)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stock_id", "day", "price"] + [f"f_{i}" for i in range(d_feat)])
+        # A stock-day is written unless its price and every feature are
+        # missing. The csv writer formats a float with repr and writes None
+        # as an empty field.
+        present = ~(np.isnan(panel.prices) & np.isnan(panel.features).all(axis=2))
         for s, stock in enumerate(panel.stocks):
-            for d, day in enumerate(panel.days):
-                price = panel.prices[s, d]
-                feats = panel.features[s, d]
-                if math.isnan(price) and np.isnan(feats).all():
-                    continue  # wholly absent observation
-                row = [stock, day, "" if math.isnan(price) else repr(float(price))]
-                row += ["" if math.isnan(v) else repr(float(v)) for v in feats]
-                writer.writerow(row)
+            cols = np.flatnonzero(present[s])
+            block = np.concatenate((panel.prices[s, cols, None], panel.features[s, cols]), axis=1, dtype=np.float64)
+            cells = block.tolist()
+            for r, c in zip(*np.nonzero(np.isnan(block))):
+                cells[r][c] = None
+            writer.writerows([stock, panel.days[d], *vals] for d, vals in zip(cols.tolist(), cells))
     meta = {
         "n_features": d_feat,
         "first_day": panel.days[0],

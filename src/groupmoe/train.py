@@ -271,8 +271,22 @@ def _read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarr
     return meta, arrays
 
 
-def _section(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+def _section(path: str | Path, arrays: dict[str, np.ndarray], prefix: str,
+             model: Forecaster) -> dict[str, np.ndarray]:
+    """The arrays under ``prefix``, which must hold exactly the model's
+    parameter names, each with the model's shape."""
+    section = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+    shapes = {name: p.data.shape for name, p in model.named_parameters()}
+    for name, shape in shapes.items():
+        if name not in section:
+            raise CheckpointError(f"{path}: missing parameter {prefix}{name}")
+        if section[name].shape != shape:
+            raise CheckpointError(f"{path}: parameter {prefix}{name} has shape {section[name].shape},"
+                                  f" the model needs {shape}")
+    unknown = sorted(section.keys() - shapes.keys())
+    if unknown:
+        raise CheckpointError(f"{path}: unknown parameter {prefix}{unknown[0]}")
+    return section
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -309,7 +323,7 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
             f"{path}: checkpoint moe config {asdict(moe_cfg)} does not match requested {asdict(expect_moe)}"
         )
     model = Forecaster(enc_cfg, moe_cfg, n_features=meta["n_features"], window=meta["window"], seed=0)
-    model.load_state_arrays(_section(arrays, "param/"))
+    model.load_state_arrays(_section(path, arrays, "param/", model))
     return model, meta
 
 
@@ -339,10 +353,10 @@ def load_train_state(path: str | Path, model: Forecaster) -> dict:
     if meta["encoder"] != asdict(model.encoder_cfg) or meta["moe"] != asdict(model.moe_cfg):
         raise CheckpointError(f"{path}: train state was written for a different model configuration")
     return {
-        "params": _section(arrays, "param/"),
-        "best_params": _section(arrays, "best/"),
-        "optimizer": {"t": int(meta["optimizer_t"]), "m": _section(arrays, "adam_m/"),
-                      "v": _section(arrays, "adam_v/")},
+        "params": _section(path, arrays, "param/", model),
+        "best_params": _section(path, arrays, "best/", model),
+        "optimizer": {"t": int(meta["optimizer_t"]), "m": _section(path, arrays, "adam_m/", model),
+                      "v": _section(path, arrays, "adam_v/", model)},
         "rng_state": meta["rng_state"],
         "epoch": int(meta["epoch"]),
         "best_val_ic": float(meta["best_val_ic"]),

@@ -218,6 +218,51 @@ def test_eval_train_state_as_checkpoint_is_data_error(trained, capsys):
     assert "train_state.npz" in err and "model" in err
 
 
+def rewrite_archive(path, edit):
+    """Apply ``edit`` to an archive's arrays (metadata entry included) and write it back."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_eval_checkpoint_missing_parameter_is_data_error(trained, capsys):
+    cfg, out = trained
+    rewrite_archive(out / "checkpoint.npz", lambda a: a.pop("param/moe.readout.b"))
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and "param/moe.readout.b" in err
+
+
+def test_eval_checkpoint_misshaped_parameter_is_data_error(trained, capsys):
+    cfg, out = trained
+
+    def widen(arrays):
+        arrays["param/moe.gate.W"] = np.zeros(arrays["param/moe.gate.W"].shape + (1,))
+
+    rewrite_archive(out / "checkpoint.npz", widen)
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and "param/moe.gate.W" in err and "shape" in err
+
+
+def test_train_resume_missing_adam_entry_is_data_error(trained, capsys):
+    cfg, out = trained
+    rewrite_archive(out / "train_state.npz", lambda a: a.pop("adam_m/moe.readout.b"))
+    assert cli.main(["train", "--config", str(cfg), "--resume", str(out / "train_state.npz")]) == 2
+    err = capsys.readouterr().err
+    assert "train_state.npz" in err and "adam_m/moe.readout.b" in err
+
+
+def test_train_truncated_csv_row_is_data_error(tmp_path, capsys):
+    data = tmp_path / "cut.csv"
+    data.write_text("stock_id,day,price,f_0\ns1,d0000,100.0,0.5\ns1,d0001,101.0")
+    cfg = write_config(tmp_path, data=str(data))
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert f"{data}:3: expected 4 fields, got 3" in capsys.readouterr().err
+
+
 def test_backtest_command(trained, capsys):
     cfg, out = trained
     assert cli.main(["backtest", "--config", str(cfg), "--mode", "long_short"]) == 0

@@ -95,6 +95,40 @@ def test_average_ranks_random_against_oracle(rng):
         assert np.allclose(M.average_ranks(x), mean_ranks_oracle(list(x)))
 
 
+def average_ranks_loop(x):
+    """The tie-walking loop average_ranks used to run, kept as an oracle."""
+    x = np.asarray(x)
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    sorted_x = x[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_bit_identical_to_loop(rng):
+    nan = np.nan
+    cases = [
+        [], [7.0], [3.0, 3.0, 3.0, 3.0], [2.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+        [nan], [nan, nan], [1.0, nan, 1.0, nan, -1.0], [0.0, -0.0, 0.0, 5.0],
+        [np.inf, -np.inf, np.inf, 1.0, nan],
+    ]
+    cases += [rng.integers(0, 4, size=int(rng.integers(0, 40))).astype(float) for _ in range(100)]
+    cases += [np.where(rng.random(30) < 0.2, nan, rng.normal(size=30)) for _ in range(20)]
+    cases += [rng.integers(-3, 3, size=25)]
+    for x in cases:
+        x = np.asarray(x)
+        got, want = M.average_ranks(x), average_ranks_loop(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), x
+
+
 # -- aggregate_ranking ----------------------------------------------------------------
 
 

@@ -220,3 +220,143 @@ def test_normalization_feature_count_guard():
     stats = P.NormStats(mean=np.zeros(5), std=np.ones(5))
     with pytest.raises(P.ConfigError):
         P.apply_normalization(panel, stats)
+
+
+# -- day lookups -------------------------------------------------------------------
+
+
+def test_day_index_unknown_day_raises_keyerror():
+    panel = make_panel(n_days=5)
+    assert [panel.day_index(d) for d in panel.days] == list(range(5))
+    for day in ("a", "d00", "d0025", "zzz"):  # before, prefix, between, after
+        with pytest.raises(KeyError) as e:
+            panel.day_index(day)
+        assert e.value.args[0] == f"day {day!r} not in panel"
+
+
+# -- split against a per-stock loop --------------------------------------------------
+
+
+def slice_day_loop(panel, day, window):
+    """The per-stock loop slice_day used to run, kept as an oracle."""
+    t = panel.days.index(day)
+    lo = t - window + 1
+    obs = panel.observed()
+    order = np.argsort(np.asarray(panel.stocks, dtype=object), kind="stable")
+    rows, labels, ids = [], [], []
+    for s in order:
+        if not obs[s, lo : t + 1].all():
+            continue
+        y = P.compute_label(panel.prices[s], t)
+        if y is None:
+            continue
+        rows.append(panel.features[s, lo : t + 1, :])
+        labels.append(y)
+        ids.append(panel.stocks[s])
+    windows = np.stack(rows) if rows else np.empty((0, window, panel.n_features))
+    return P.DayBatch(day=day, windows=windows, labels=np.asarray(labels, dtype=np.float64), stock_ids=ids)
+
+
+def assert_same_batch(a, b):
+    assert a.day == b.day
+    assert a.stock_ids == b.stock_ids
+    assert a.windows.shape == b.windows.shape and a.windows.dtype == b.windows.dtype
+    assert a.windows.tobytes() == b.windows.tobytes()
+    assert a.labels.dtype == b.labels.dtype and a.labels.tobytes() == b.labels.tobytes()
+
+
+@pytest.mark.parametrize("window", [1, 5])
+def test_split_matches_per_stock_loop(window):
+    rng = np.random.default_rng(11)
+    panel = make_panel(n_stocks=12, n_days=70, d=3, seed=11)
+    panel.stocks = ["s7", "b", "s10", "a2", "s1", "zz", "c", "s2", "a10", "m", "s0", "y"]
+    panel.prices[rng.random(panel.prices.shape) < 0.08] = np.nan
+    panel.features[rng.random(panel.features.shape) < 0.02] = np.nan
+    panel.prices[3, 20:] = np.nan  # a stock that stops trading
+    spec = days_spec(panel.days, (0, 40), (41, 55), (55, 69))
+    streams = P.split(panel, spec, window)
+    for stream, interval in zip(streams, (spec.train, spec.validation, spec.test)):
+        expected = [slice_day_loop(panel, d, window) for d in P.days_in_split(panel, interval, window)]
+        expected = [b for b in expected if b.n_stocks > 0]
+        assert len(stream) == len(expected) > 0
+        for got, want in zip(stream, expected):
+            assert_same_batch(got, want)
+            assert_same_batch(P.slice_day(panel, got.day, window), want)
+    assert any(b.n_stocks < 12 for s in streams for b in s)
+
+
+def test_nonpositive_base_price_raises_only_for_kept_stock():
+    window, t = 5, 10
+    spec = days_spec([f"d{i:03d}" for i in range(20)], (0, 14), (14, 17), (17, 19))
+    for price in (0.0, -3.0):
+        panel = make_panel(n_stocks=3, n_days=20)
+        panel.prices[1, t + 1] = price
+        for call in (lambda: P.slice_day(panel, panel.days[t], window), lambda: P.split(panel, spec, window)):
+            with pytest.raises(P.PanelError) as e:
+                call()
+            assert str(e.value) == f"non-positive price {price} at label base index {t + 1}"
+    # with a hole in its day-t window, stock 1 is dropped from day t before
+    # its label is formed, so the bad base price raises nothing
+    panel = make_panel(n_stocks=3, n_days=20)
+    panel.prices[1, t + 1] = 0.0
+    panel.features[1, t, 0] = np.nan
+    assert P.slice_day(panel, panel.days[t], window).stock_ids == ["s0", "s2"]
+    train, _, _ = P.split(panel, spec, window)
+    assert [b.stock_ids for b in train if b.day == panel.days[t]] == [["s0", "s2"]]
+    # nor when its label is undefined because p[t+2] is missing
+    panel = make_panel(n_stocks=3, n_days=20)
+    panel.prices[1, t + 1] = 0.0
+    panel.prices[1, t + 2] = np.nan
+    assert P.slice_day(panel, panel.days[t], window).stock_ids == ["s0", "s2"]
+    train, _, _ = P.split(panel, spec, window)
+    assert [b.stock_ids for b in train if b.day == panel.days[t]] == [["s0", "s2"]]
+
+
+# -- CSV writer bytes ------------------------------------------------------------------
+
+
+GOLDEN_CSV = (
+    "stock_id,day,price,f_0,f_1\r\n"
+    '"a,""b",d1,1e-05,0.1,-2.0\r\n'
+    '"a,""b",d2,,3.0,1.5\r\n'
+    '"a,""b",d3,2.5,-0.0,1e-07\r\n'
+    "s2,d1,1e+16,0.30000000000000004,2.0\r\n"
+    "s2,d2,3.0,,0.25\r\n"
+)
+
+
+def test_csv_golden_bytes_and_round_trip(tmp_path):
+    nan = np.nan
+    panel = P.StockPanel(
+        stocks=['a,"b', "s2"],
+        days=["d1", "d2", "d3"],
+        features=np.array([[[0.1, -2.0], [3.0, 1.5], [-0.0, 1e-07]],
+                           [[0.1 + 0.2, 2.0], [nan, 0.25], [nan, nan]]]),
+        prices=np.array([[1e-05, nan, 2.5], [1e16, 3.0, nan]]),  # s2 is absent on d3
+    )
+    path = tmp_path / "golden.csv"
+    P.save_csv(panel, path)
+    assert path.read_bytes() == GOLDEN_CSV.encode()
+    loaded = P.load_csv(path)
+    assert loaded.stocks == panel.stocks and loaded.days == panel.days
+    assert loaded.prices.tobytes() == panel.prices.tobytes()
+    assert loaded.features.tobytes() == panel.features.tobytes()
+
+
+# -- degenerate CSV input -------------------------------------------------------------------
+
+
+def test_csv_truncated_last_row_names_line(tmp_path):
+    path = tmp_path / "cut.csv"
+    path.write_text("stock_id,day,price,f_0,f_1\ns1,d1,100.0,0.5,1.0\ns1,d2,101.0,0.5,1.0\ns1,d3,102.0")
+    with pytest.raises(P.PanelError) as e:
+        P.load_csv(path)
+    assert str(e.value) == f"{path}:4: expected 5 fields, got 3"
+
+
+def test_csv_empty_stock_id_names_line(tmp_path):
+    path = tmp_path / "anon.csv"
+    path.write_text("stock_id,day,price,f_0\ns1,d1,100.0,0.5\n\n,d2,101.0,0.5\n")
+    with pytest.raises(P.PanelError) as e:
+        P.load_csv(path)
+    assert str(e.value) == f"{path}:4: empty stock_id or day"
