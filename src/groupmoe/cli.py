@@ -212,7 +212,8 @@ def cmd_backtest(args) -> int:
     cfg = _load_run_config(args)
     out = _out_dir(cfg)
     model, test_b = _load_eval_inputs(cfg, args)
-    rep = ME.backtest(test_b, model=model, mode=cfg.portfolio.mode, fraction=cfg.portfolio.fraction)
+    predictions = [model.predict(b) for b in test_b]
+    rep = ME.backtest(test_b, predictions, mode=cfg.portfolio.mode, fraction=cfg.portfolio.fraction)
     print(_format_table([{"subset": cfg.portfolio.mode, "AR": rep.ar, "IR": rep.ir}]))
     payload = {"mode": rep.mode, "fraction": rep.fraction, "AR": rep.ar, "IR": rep.ir,
                "excess_series": rep.excess_series, "turnover_series": rep.turnover_series,

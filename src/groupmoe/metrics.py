@@ -3,8 +3,8 @@
 Conventions: population statistics throughout; 252 trading days per year;
 the excess benchmark is the equal-weight mean return of each day's
 tradable universe; a None value is the explicit "undefined" marker for
-degenerate days (zero variance, all ties) and is excluded from
-aggregation with its count reported.
+degenerate days (fewer than two stocks, zero variance, all ties) and is
+excluded from aggregation with its count reported.
 """
 
 from __future__ import annotations
@@ -163,26 +163,23 @@ def build_portfolio(pred: np.ndarray, mode: str = "long_only", fraction: float =
 
 def backtest(
     batches: list[DayBatch],
-    predictions: list[np.ndarray] | None = None,
-    model=None,
+    predictions: list[np.ndarray],
     mode: str = "long_only",
     fraction: float = 0.05,
 ) -> PortfolioReport:
     """Daily-rebalanced portfolio over a DayBatch stream.
 
-    Exactly one of ``predictions`` (aligned to batches) or ``model`` must
-    be given; both routes produce identical reports. Labels already carry
-    the one-day execution lag, so no extra shift happens here. Excess is
-    versus the equal-weight universe mean; no transaction costs.
+    ``predictions`` holds one array per batch, aligned to its stocks.
+    Labels already carry the one-day execution lag, so no extra shift
+    happens here. Excess is versus the equal-weight universe mean; no
+    transaction costs.
     """
-    if (predictions is None) == (model is None):
-        raise ValueError("pass exactly one of predictions or model")
-    if predictions is not None and len(predictions) != len(batches):
+    if len(predictions) != len(batches):
         raise ValueError(f"{len(predictions)} prediction days vs {len(batches)} batches")
     excess, turnover = [], []
     prev: dict[str, float] = {}
-    for i, batch in enumerate(batches):
-        pred = model.predict(batch) if model is not None else np.asarray(predictions[i])
+    for batch, pred in zip(batches, predictions):
+        pred = np.asarray(pred)
         if pred.shape[0] != batch.n_stocks:
             raise ValueError(
                 f"day {batch.day}: {pred.shape[0]} predictions for {batch.n_stocks} stocks"
@@ -210,8 +207,10 @@ def backtest(
 
 
 def ranking_for_predictions(predictions: list[np.ndarray], batches: list[DayBatch]) -> RankingReport:
-    ic_series = [daily_ic(p, b.labels) for p, b in zip(predictions, batches)]
-    rank_series = [daily_rank_ic(p, b.labels) for p, b in zip(predictions, batches)]
+    """Aggregate IC and RankIC; a day with fewer than two stocks is undefined."""
+    days = list(zip(predictions, batches))
+    ic_series = [daily_ic(p, b.labels) if b.n_stocks >= 2 else None for p, b in days]
+    rank_series = [daily_rank_ic(p, b.labels) if b.n_stocks >= 2 else None for p, b in days]
     return aggregate_ranking(ic_series, rank_series)
 
 

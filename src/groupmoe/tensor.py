@@ -56,12 +56,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A dense float64 array plus an optional gradient.
 
     Tensors produced by primitives carry vjp closures back to their
-    parents; leaves created by the user carry none. Data is treated as
-    immutable after construction except for gradient accumulation;
-    parameter updates rebind ``.data`` rather than writing in place.
+    parents; leaves created by the user carry none. Data and gradients
+    are values: parameter updates rebind ``.data``, the backward sweep
+    rebinds ``.grad``, and a ``.grad`` may be a read-only view another
+    tensor shares, so nothing writes into either in place.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_vjps", "_seq", "_backward_done")
@@ -111,6 +112,8 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate dL/dx on every reachable tensor, root must be scalar.
 
+        A parent's first contribution becomes its ``.grad`` (copied to C
+        order if it is a strided view); later ones are added out of place.
         A second call on the same root is rejected; rebuild the graph (or
         clear gradients and rerun the forward pass) instead of reusing it.
         """
@@ -128,8 +131,9 @@ class Tensor:
             for parent, fn in node._vjps:
                 contrib = fn(g)
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += contrib
+                    parent.grad = contrib if contrib.flags.c_contiguous else contrib.copy()
+                else:
+                    parent.grad = parent.grad + contrib
 
     # -- operator sugar -------------------------------------------------------
 
@@ -266,7 +270,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Tensor._result(s, [(a, lambda g: g * s * (1.0 - s))])
 
 
@@ -349,7 +354,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        return np.broadcast_to(g, a.shape).copy()
+        return np.broadcast_to(g, a.shape)
 
     return Tensor._result(a.data.sum(axis=axes or None, keepdims=keepdims), [(a, vjp)])
 
@@ -401,18 +406,13 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return Tensor._result(a.data.transpose(axes), [(a, lambda g: g.transpose(inverse))])
 
 
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    return Tensor._result(
-        np.swapaxes(a.data, ax1, ax2), [(a, lambda g: np.swapaxes(g, ax1, ax2))]
-    )
-
-
 def getitem(a: Tensor, key) -> Tensor:
+    """a[key] for keys that select each element at most once (ints, slices)."""
     data = a.data[key]
 
     def vjp(g):
         z = np.zeros_like(a.data)
-        z[key] += g
+        z[key] = g
         return z
 
     return Tensor._result(np.array(data), [(a, vjp)])
@@ -461,14 +461,13 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather a[i, idx[i, j]] -> out[i, j] for a 2-D tensor."""
+    """Gather a[i, idx[i, j]] -> out[i, j] for a 2-D tensor; indices unique per row."""
     if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
         raise ShapeError(f"take_rows: need [N,M] data and [N,k] indices, got {a.shape}, {idx.shape}")
-    rows = np.arange(a.shape[0])[:, None]
 
     def vjp(g):
         z = np.zeros_like(a.data)
-        np.add.at(z, (rows, idx), g)
+        np.put_along_axis(z, idx, g, axis=1)
         return z
 
     return Tensor._result(np.take_along_axis(a.data, idx, axis=1), [(a, vjp)])

@@ -1,10 +1,10 @@
 """Training loop: seeded day shuffling, adaptive-moment updates,
 validation-IC early stopping, and checkpoint round-trips.
 
-One gradient step consumes ``batch_days`` whole trading days (default 1):
-the IC loss is cross-sectional, so days are atomic. Validation runs at
-the end of every epoch; the parameters with the best validation IC so
-far are retained and written as the final checkpoint.
+One gradient step consumes one whole trading day, in a seeded shuffle
+order: the IC loss is cross-sectional, so days are atomic. Validation
+runs at the end of every epoch; the parameters with the best validation
+IC so far are retained and written as the final checkpoint.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import time
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
-from .encoders import EncoderConfig
+from .encoders import EncoderConfig, EncoderConfigError
 from .metrics import daily_ic
-from .moe import Forecaster, MoEConfig
+from .moe import Forecaster, MoEConfig, MoEConfigError
 from .objective import LossBreakdown, LossWeights, expert_loss, router_loss, total_loss
 from .panel import DayBatch, NormStats
 
@@ -40,7 +41,6 @@ class TrainConfig:
     max_epochs: int = 60
     lr: float = 5e-4
     patience: int = 10
-    batch_days: int = 1
     seed: int = 0
 
     def validate(self) -> list[str]:
@@ -51,8 +51,6 @@ class TrainConfig:
             problems.append(f"train.lr must be > 0, got {self.lr}")
         if self.patience < 1:
             problems.append(f"train.patience must be >= 1, got {self.patience}")
-        if self.batch_days < 1:
-            problems.append(f"train.batch_days must be >= 1, got {self.batch_days}")
         return problems
 
 
@@ -182,12 +180,10 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
             t0 = time.perf_counter()
             order = rng.permutation(len(train_batches))
             sums = np.zeros(3)
-            n_steps = 0
-            for lo in range(0, len(order), cfg.batch_days):
-                chunk = [train_batches[i] for i in order[lo : lo + cfg.batch_days]]
-                bd = step(model, chunk, optimizer, cfg, weights)
+            for i in order:
+                bd = step(model, [train_batches[i]], optimizer, cfg, weights)
                 sums += (bd.total, bd.expert_loss, bd.router_loss)
-                n_steps += 1
+            n_steps = len(order)
             val_ic = validation_ic(model, val_batches)
             row = {
                 "epoch": epoch,
@@ -289,6 +285,38 @@ def _section(path: str | Path, arrays: dict[str, np.ndarray], prefix: str,
     return section
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance for JSON values: a bool is not a number, an int is a float."""
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _meta(path: str | Path, meta: dict, key: str, kind, section: str = ""):
+    """meta[key], which must exist and be a ``kind`` (a type or a tuple of types)."""
+    label = f"{section}.{key}" if section else key
+    if key not in meta:
+        raise CheckpointError(f"{path}: metadata has no {label!r} entry")
+    if not _is_a(meta[key], kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise CheckpointError(f"{path}: metadata {label!r} is {meta[key]!r}, expected {names}")
+    return meta[key]
+
+
+def _meta_config(path: str | Path, meta: dict, key: str, cls):
+    """The config dataclass ``cls`` from meta[key], which must hold exactly
+    its fields, each of the field's type."""
+    section = _meta(path, meta, key, dict)
+    kinds = get_type_hints(cls)
+    missing, unknown = sorted(kinds.keys() - section.keys()), sorted(section.keys() - kinds.keys())
+    if missing or unknown:
+        raise CheckpointError(f"{path}: metadata {key!r} must hold exactly the {cls.__name__} fields"
+                              f" (missing {missing}, unknown {unknown})")
+    for name, kind in kinds.items():
+        _meta(path, section, name, kind, section=key)
+    return cls(**section)
+
+
 # -- checkpoints -------------------------------------------------------------
 #
 # A model checkpoint holds every parameter under "param/<path>"; its
@@ -312,8 +340,15 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
                     expect_moe: MoEConfig | None = None) -> tuple[Forecaster, dict]:
     """Rebuild the model from a checkpoint; optional config guards."""
     meta, arrays = _read_archive(path, "model")
-    enc_cfg = EncoderConfig(**meta["encoder"])
-    moe_cfg = MoEConfig(**meta["moe"])
+    enc_cfg = _meta_config(path, meta, "encoder", EncoderConfig)
+    moe_cfg = _meta_config(path, meta, "moe", MoEConfig)
+    n_features, window = _meta(path, meta, "n_features", int), _meta(path, meta, "window", int)
+    norm = _meta(path, meta, "normalization", (dict, type(None)))
+    if norm is not None:
+        for key in ("mean", "std"):
+            stats = norm.get(key)
+            if not (isinstance(stats, list) and len(stats) == n_features and all(_is_a(v, float) for v in stats)):
+                raise CheckpointError(f"{path}: metadata 'normalization.{key}' must be a list of {n_features} numbers")
     if expect_encoder is not None and asdict(expect_encoder) != asdict(enc_cfg):
         raise CheckpointError(
             f"{path}: checkpoint encoder config {asdict(enc_cfg)} does not match requested {asdict(expect_encoder)}"
@@ -322,7 +357,10 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
         raise CheckpointError(
             f"{path}: checkpoint moe config {asdict(moe_cfg)} does not match requested {asdict(expect_moe)}"
         )
-    model = Forecaster(enc_cfg, moe_cfg, n_features=meta["n_features"], window=meta["window"], seed=0)
+    try:
+        model = Forecaster(enc_cfg, moe_cfg, n_features=n_features, window=window, seed=0)
+    except (EncoderConfigError, MoEConfigError) as e:
+        raise CheckpointError(f"{path}: metadata describes no valid model ({e})") from None
     model.load_state_arrays(_section(path, arrays, "param/", model))
     return model, meta
 
@@ -350,17 +388,23 @@ def save_train_state(path: str | Path, state: dict, model: Forecaster) -> None:
 
 def load_train_state(path: str | Path, model: Forecaster) -> dict:
     meta, arrays = _read_archive(path, "train_state")
-    if meta["encoder"] != asdict(model.encoder_cfg) or meta["moe"] != asdict(model.moe_cfg):
+    if (_meta_config(path, meta, "encoder", EncoderConfig) != model.encoder_cfg
+            or _meta_config(path, meta, "moe", MoEConfig) != model.moe_cfg):
         raise CheckpointError(f"{path}: train state was written for a different model configuration")
+    rng_state = _meta(path, meta, "rng_state", dict)
+    try:
+        np.random.PCG64(0).state = rng_state
+    except (TypeError, ValueError, KeyError) as e:
+        raise CheckpointError(f"{path}: metadata 'rng_state' is not a PCG64 state ({e!r})") from None
     return {
         "params": _section(path, arrays, "param/", model),
         "best_params": _section(path, arrays, "best/", model),
-        "optimizer": {"t": int(meta["optimizer_t"]), "m": _section(path, arrays, "adam_m/", model),
+        "optimizer": {"t": _meta(path, meta, "optimizer_t", int), "m": _section(path, arrays, "adam_m/", model),
                       "v": _section(path, arrays, "adam_v/", model)},
-        "rng_state": meta["rng_state"],
-        "epoch": int(meta["epoch"]),
-        "best_val_ic": float(meta["best_val_ic"]),
-        "best_epoch": int(meta["best_epoch"]),
-        "epochs_since_best": int(meta["epochs_since_best"]),
+        "rng_state": rng_state,
+        "epoch": _meta(path, meta, "epoch", int),
+        "best_val_ic": float(_meta(path, meta, "best_val_ic", float)),
+        "best_epoch": _meta(path, meta, "best_epoch", int),
+        "epochs_since_best": _meta(path, meta, "epochs_since_best", int),
     }
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,26 @@ def check_grad(build, x0: np.ndarray, tol: float = 1e-4, eps: float = 1e-5):
     numeric = finite_diff_grad(scalar_fn, x0.copy(), eps=eps)
     err = rel_err(analytic, numeric)
     assert err < tol, f"gradient mismatch: rel err {err:.3e}\nanalytic={analytic}\nnumeric={numeric}"
+
+
+def rewrite_archive(path, edit):
+    """Apply ``edit`` to an archive's arrays (metadata entry included) and write it back."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to an archive's JSON metadata and write it back."""
+
+    def edit_entry(arrays):
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit(meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+    rewrite_archive(path, edit_entry)
 
 
 @pytest.fixture

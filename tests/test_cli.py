@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -10,6 +11,8 @@ from groupmoe import metrics as ME
 from groupmoe import panel as P
 from groupmoe.config import RunConfig, load_config, save_config
 from groupmoe.train import load_checkpoint
+
+from conftest import rewrite_archive, rewrite_meta
 
 
 def sha(path):
@@ -105,6 +108,12 @@ def test_train_writes_checkpoint_that_reloads(tmp_path):
     rows = (out / "curves.csv").read_text().splitlines()
     assert rows[0] == "epoch,train_loss,expert_loss,router_loss,val_ic"
     assert len(rows) == 3
+
+
+def test_train_batch_days_key_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, train={"batch_days": 2})
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert "unknown key(s) ['batch_days']" in capsys.readouterr().err
 
 
 def test_train_missing_data_is_data_error(tmp_path, capsys):
@@ -218,15 +227,6 @@ def test_eval_train_state_as_checkpoint_is_data_error(trained, capsys):
     assert "train_state.npz" in err and "model" in err
 
 
-def rewrite_archive(path, edit):
-    """Apply ``edit`` to an archive's arrays (metadata entry included) and write it back."""
-    with np.load(path) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    edit(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
 def test_eval_checkpoint_missing_parameter_is_data_error(trained, capsys):
     cfg, out = trained
     rewrite_archive(out / "checkpoint.npz", lambda a: a.pop("param/moe.readout.b"))
@@ -253,6 +253,65 @@ def test_train_resume_missing_adam_entry_is_data_error(trained, capsys):
     assert cli.main(["train", "--config", str(cfg), "--resume", str(out / "train_state.npz")]) == 2
     err = capsys.readouterr().err
     assert "train_state.npz" in err and "adam_m/moe.readout.b" in err
+
+
+def test_eval_checkpoint_extra_encoder_key_is_data_error(trained, capsys):
+    cfg, out = trained
+    rewrite_meta(out / "checkpoint.npz", lambda m: m["encoder"].update(dropout=0.1))
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and "'encoder'" in err and "dropout" in err
+
+
+def test_eval_checkpoint_missing_moe_section_is_data_error(trained, capsys):
+    cfg, out = trained
+    rewrite_meta(out / "checkpoint.npz", lambda m: m.pop("moe"))
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and "'moe'" in err
+
+
+def test_eval_checkpoint_string_n_features_is_data_error(trained, capsys):
+    cfg, out = trained
+    rewrite_meta(out / "checkpoint.npz", lambda m: m.update(n_features="3"))
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and "'n_features'" in err and "int" in err
+
+
+def test_train_resume_without_optimizer_t_is_data_error(trained, capsys):
+    cfg, out = trained
+    rewrite_meta(out / "train_state.npz", lambda m: m.pop("optimizer_t"))
+    assert cli.main(["train", "--config", str(cfg), "--resume", str(out / "train_state.npz")]) == 2
+    err = capsys.readouterr().err
+    assert "train_state.npz" in err and "'optimizer_t'" in err
+
+
+def keep_one_stock(cfg_path, days):
+    """Blank every stock's price but the first one's on ``days`` of the configured panel."""
+    data = load_config(cfg_path).data
+    panel = P.load_csv(data)
+    for day in days:
+        panel.prices[1:, panel.day_index(day)] = np.nan
+    P.save_csv(panel, data)
+
+
+def test_eval_single_stock_days_are_undefined(trained):
+    cfg, out = trained
+    # a missing price on d0037 drops the other stocks from test days
+    # d0035 (label), d0036 (label) and d0037 (window); d0033-d0034 keep all
+    keep_one_stock(cfg, ["d0037"])
+    assert cli.main(["eval", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader((out / "eval_daily.csv").read_text().splitlines()))
+    assert [r["day"] for r in rows if r["ic"] == ""] == ["d0035", "d0036", "d0037"]
+    assert all(r["ic"] != "" for r in rows[:2])
+
+
+def test_eval_every_day_single_stock_is_data_error(trained, capsys):
+    cfg, _ = trained
+    keep_one_stock(cfg, ["d0035", "d0036", "d0037", "d0038", "d0039"])
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    assert "need >= 2 valid days" in capsys.readouterr().err
 
 
 def test_train_truncated_csv_row_is_data_error(tmp_path, capsys):

@@ -302,8 +302,6 @@ def test_backtest_misaligned_predictions_rejected(rng):
         M.backtest(batches, predictions=[p[:2] for p in preds])
     with pytest.raises(ValueError):
         M.backtest(batches, predictions=preds[:2])
-    with pytest.raises(ValueError):
-        M.backtest(batches, predictions=preds, model=object())
 
 
 # -- model-based evaluation ----------------------------------------------------------
@@ -324,15 +322,6 @@ def rand_batches(rng, n_days=6, n=14):
     return out
 
 
-def test_backtest_model_route_equals_prediction_route(rng):
-    model = tiny_model(g=2, e=3, k=2)
-    batches = rand_batches(rng)
-    via_model = M.backtest(batches, model=model, mode="long_short")
-    via_preds = M.backtest(batches, predictions=[model.predict(b) for b in batches], mode="long_short")
-    assert via_model.excess_series == via_preds.excess_series
-    assert via_model.ar == via_preds.ar
-
-
 def test_per_expert_grid_shape(rng):
     model = tiny_model(g=2, e=3, k=2)
     batches = rand_batches(rng)
@@ -344,7 +333,7 @@ def test_per_expert_single_slot_equals_full_model(rng):
     model = tiny_model(g=1, e=1, k=1)
     batches = rand_batches(rng)
     grid = M.per_expert_report(model, batches)
-    full = M.backtest(batches, model=model)
+    full = M.backtest(batches, predictions=[model.predict(b) for b in batches])
     assert np.allclose(grid[0][0].excess_series, full.excess_series, atol=1e-12)
 
 

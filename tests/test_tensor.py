@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from groupmoe import tensor as T
+from groupmoe.encoders import EncoderConfig
+from groupmoe.moe import Forecaster, MoEConfig
+from groupmoe.objective import LossWeights
+from groupmoe.panel import DayBatch
+from groupmoe.train import day_loss
 
 from conftest import check_grad
 
@@ -173,6 +178,32 @@ def test_grad_accumulates_over_reuse():
     y = x * x + x * 3.0  # x reused three times
     T.tsum(y).backward()
     assert x.grad.tolist() == [7.0]  # 2x + 3
+
+
+def test_grad_contributions_are_not_written_in_place():
+    # x's first contribution is y's gradient itself; the second must not
+    # be added into that shared array
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    y = T.add(x, x)
+    T.tsum(y).backward()
+    assert x.grad.tolist() == [2.0, 2.0]
+    assert y.grad.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["conv", "recurrent", "attention"])
+def test_forecaster_backward_grads_are_c_contiguous(kind, rng):
+    # transposed or broadcast gradient views are copied to C order, so
+    # every matmul in the sweep sees the same layout
+    enc = EncoderConfig(kind=kind, d_h=8, depth=2, heads=2, kernel=2)
+    moe = MoEConfig(groups=3, experts_per_group=3, top_k=2, d_e=4, agg_heads=2)
+    model = Forecaster(enc, moe, n_features=3, window=4, seed=0)
+    batch = DayBatch(day="d0", windows=rng.normal(size=(6, 4, 3)), labels=rng.normal(size=6),
+                     stock_ids=[f"s{i}" for i in range(6)])
+    total, _ = day_loss(model, [batch], LossWeights())
+    total.backward()
+    nodes = T.ComputationTape.trace(total).nodes
+    strided = [n for n in nodes if n.grad is not None and not n.grad.flags.c_contiguous]
+    assert strided == []
 
 
 def test_backward_order_independent(rng):

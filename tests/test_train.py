@@ -9,6 +9,8 @@ from groupmoe.encoders import EncoderConfig
 from groupmoe.moe import Forecaster, MoEConfig
 from groupmoe.objective import LossWeights
 
+from conftest import rewrite_meta
+
 
 def tiny_model(seed=0, kind="conv", g=2, e=2, k=2):
     enc = EncoderConfig(kind=kind, d_h=6, depth=1, heads=2, kernel=2)
@@ -183,6 +185,26 @@ def test_checkpoint_config_guard(tmp_path):
     assert "does not match" in str(e.value)
 
 
+BAD_CHECKPOINT_META = [
+    ("encoder.kind", lambda m: m["encoder"].update(kind="lstm")),
+    ("moe.inner_attention", lambda m: m["moe"].update(inner_attention=1)),
+    ("moe.top_k", lambda m: m["moe"].update(top_k=True)),
+    ("window", lambda m: m.update(window=4.0)),
+    ("normalization.mean", lambda m: m.update(normalization={"mean": [0.0], "std": [1.0, 1.0, 1.0]})),
+    ("normalization", lambda m: m.update(normalization=[0.0])),
+]
+
+
+@pytest.mark.parametrize("entry,edit", BAD_CHECKPOINT_META, ids=[b[0] for b in BAD_CHECKPOINT_META])
+def test_checkpoint_malformed_metadata_names_entry(tmp_path, entry, edit):
+    path = tmp_path / "model.npz"
+    TR.save_checkpoint(tiny_model(), path, norm=P.NormStats(mean=np.zeros(3), std=np.ones(3)))
+    rewrite_meta(path, edit)
+    with pytest.raises(TR.CheckpointError) as e:
+        TR.load_checkpoint(path)
+    assert str(path) in str(e.value) and entry in str(e.value)
+
+
 def test_checkpoint_version_guard(tmp_path, monkeypatch):
     model = tiny_model()
     path = tmp_path / "model.npz"
@@ -230,6 +252,27 @@ def test_train_state_config_guard(tmp_path):
     other = tiny_model(kind="recurrent")
     with pytest.raises(TR.CheckpointError):
         TR.load_train_state(path, other)
+
+
+BAD_TRAIN_STATE_META = [
+    ("rng_state", lambda m: m["rng_state"].update(bit_generator="MT19937")),
+    ("best_val_ic", lambda m: m.update(best_val_ic="0.5")),
+    ("epochs_since_best", lambda m: m.pop("epochs_since_best")),
+    ("encoder", lambda m: m["encoder"].pop("kernel")),
+]
+
+
+@pytest.mark.parametrize("entry,edit", BAD_TRAIN_STATE_META, ids=[b[0] for b in BAD_TRAIN_STATE_META])
+def test_train_state_malformed_metadata_names_entry(tmp_path, entry, edit):
+    model = tiny_model()
+    tb, vb, _ = tiny_streams()
+    _, state = TR.train(model, tb, vb, TR.TrainConfig(max_epochs=1, lr=1e-3), LossWeights())
+    path = tmp_path / "state.npz"
+    TR.save_train_state(path, state, model)
+    rewrite_meta(path, edit)
+    with pytest.raises(TR.CheckpointError) as e:
+        TR.load_train_state(path, model)
+    assert str(path) in str(e.value) and entry in str(e.value)
 
 
 def test_training_log_lines(tmp_path):
