@@ -8,8 +8,9 @@ alpha 2e-3 / beta 1, window length 5, 60 max epochs, top-8 routing over
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -18,7 +19,7 @@ from .moe import MoEConfig
 from .objective import LossWeights
 from .panel import SplitSpec
 from .synth import SynthConfig
-from .train import TrainConfig
+from .train import TrainConfig, _is_a, config_problems
 
 
 class RunConfigError(ValueError):
@@ -71,76 +72,34 @@ class RunConfig:
         return problems
 
     def to_dict(self) -> dict:
-        d = {
-            "data": self.data,
-            "output": self.output,
-            "window": self.window,
-            "encoder": asdict(self.encoder),
-            "moe": asdict(self.moe),
-            "train": asdict(self.train),
-            "loss": asdict(self.loss),
-            "portfolio": asdict(self.portfolio),
-            "synth": asdict(self.synth),
-        }
+        d = asdict(self)
         if self.split is not None:
-            d["split"] = {
-                "train": list(self.split.train),
-                "validation": list(self.split.validation),
-                "test": list(self.split.test),
-            }
+            d["split"] = {name: list(interval) for name, interval in d["split"].items()}
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        problems = []
-        known = {"data", "output", "window", "encoder", "moe", "train", "loss", "split", "portfolio", "synth"}
-        for key in d:
-            if key not in known:
-                problems.append(f"unknown config section {key!r}")
+    def from_dict(cls, d) -> "RunConfig":
+        """Read a run config; RunConfigError lists every violation found.
 
-        def build(section, klass, default):
-            raw = d.get(section)
-            if raw is None:
-                return default()
-            if not isinstance(raw, dict):
-                problems.append(f"section {section!r} must be a mapping")
-                return default()
-            import dataclasses
-
-            names = {f.name for f in dataclasses.fields(klass)}
-            bad = [k for k in raw if k not in names]
-            if bad:
-                problems.append(f"section {section!r}: unknown key(s) {bad}")
-            try:
-                return klass(**{k: v for k, v in raw.items() if k in names})
-            except (TypeError, ValueError) as e:
-                problems.append(f"section {section!r}: {e}")
-                return default()
-
-        split = None
-        if "split" in d and d["split"] is not None:
-            raw = d["split"]
-            try:
-                split = SplitSpec(
-                    train=tuple(str(x) for x in raw["train"]),
-                    validation=tuple(str(x) for x in raw["validation"]),
-                    test=tuple(str(x) for x in raw["test"]),
-                )
-            except (KeyError, TypeError) as e:
-                problems.append(f"section 'split': needs train/validation/test [start, end) pairs ({e})")
-
-        cfg = cls(
-            data=str(d.get("data", cls.data)),
-            output=str(d.get("output", cls.output)),
-            window=int(d.get("window", cls.window)),
-            encoder=build("encoder", EncoderConfig, EncoderConfig),
-            moe=build("moe", MoEConfig, MoEConfig),
-            train=build("train", TrainConfig, TrainConfig),
-            loss=build("loss", LossWeights, LossWeights),
-            split=split,
-            portfolio=build("portfolio", PortfolioConfig, PortfolioConfig),
-            synth=build("synth", SynthConfig, SynthConfig),
-        )
+        A section is built only when it reads cleanly, so the others are
+        still validated; YAML has no tuples, so a sequence becomes one.
+        """
+        problems = config_problems(cls, d)
+        if not isinstance(d, dict):
+            raise RunConfigError(problems)
+        values = {}
+        for name, kind in get_type_hints(cls).items():
+            value = d.get(name)
+            section = next((k for k in (kind, *get_args(kind)) if is_dataclass(k)), None)
+            if section is None:
+                if name in d and _is_a(value, kind):
+                    values[name] = value
+            elif value is not None:
+                found = config_problems(section, value, name)
+                problems += found
+                if not found:
+                    values[name] = section(**{k: tuple(v) if isinstance(v, list) else v for k, v in value.items()})
+        cfg = cls(**values)
         problems += cfg.validate()
         if problems:
             raise RunConfigError(problems)
@@ -154,11 +113,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise RunConfigError([f"config file not found: {path}"]) from None
     except yaml.YAMLError as e:
         raise RunConfigError([f"config file {path} is not valid YAML: {e}"]) from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise RunConfigError([f"config file {path} must contain a mapping at top level"])
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict({} if raw is None else raw)
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:

@@ -25,28 +25,28 @@ from .objective import LossWeights
 SPECIALIZATION_SYNTH = dict(n_stocks=60, n_days=220, n_features=24, n_styles=3, noise_sigma=0.3)
 SPECIALIZATION_ENCODER = dict(kind="conv", d_h=12, depth=1, kernel=3, heads=4)
 SPECIALIZATION_TRAIN = dict(max_epochs=40, patience=10, lr=2e-3)
+WINDOW = 5
 
 
-def style_panel_streams(seed: int, synth_kw: dict | None = None, window: int = 5):
+def style_panel_streams(seed: int):
     """Generate, normalize, and split one styled panel."""
-    synth_kw = {**SPECIALIZATION_SYNTH, **(synth_kw or {})}
-    panel, truth = SY.generate(SY.SynthConfig(seed=seed, **synth_kw))
+    panel, truth = SY.generate(SY.SynthConfig(seed=seed, **SPECIALIZATION_SYNTH))
     days = panel.days
     n = len(days)
     cut1, cut2 = int(n * 0.68), int(n * 0.84)
     spec = P.SplitSpec(train=(days[0], days[cut1]), validation=(days[cut1], days[cut2]),
                        test=(days[cut2], days[n - 1]))
     normed = P.apply_normalization(panel, P.fit_normalization(panel, spec.train))
-    train_b, val_b, test_b = P.split(normed, spec, window)
+    train_b, val_b, test_b = P.split(normed, spec, WINDOW)
     return normed, truth, train_b, val_b, test_b
 
 
-def train_variant(seed: int, moe_cfg: MoEConfig, streams, encoder_kw: dict | None = None,
-                  train_kw: dict | None = None, window: int = 5) -> tuple[Forecaster, TR.TrainResult]:
+def train_variant(seed: int, moe_cfg: MoEConfig, streams,
+                  train_kw: dict | None = None) -> tuple[Forecaster, TR.TrainResult]:
     normed, _, train_b, val_b, _ = streams
-    enc = EncoderConfig(**{**SPECIALIZATION_ENCODER, **(encoder_kw or {})})
+    enc = EncoderConfig(**SPECIALIZATION_ENCODER)
     tcfg = TR.TrainConfig(seed=seed, **{**SPECIALIZATION_TRAIN, **(train_kw or {})})
-    model = Forecaster(enc, moe_cfg, n_features=normed.n_features, window=window, seed=seed)
+    model = Forecaster(enc, moe_cfg, n_features=normed.n_features, window=WINDOW, seed=seed)
     result, _ = TR.train(model, train_b, val_b, tcfg, LossWeights())
     model.load_state_arrays(result.best_state)
     return model, result
@@ -82,7 +82,7 @@ BASELINE_CFG = MoEConfig(groups=1, experts_per_group=1, top_k=1, d_e=8, agg_head
                          inner_attention=False)
 
 
-def argmax_slot_by_stock(model: Forecaster, batches, panel) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def argmax_slot_by_stock(model: Forecaster, batches) -> tuple[np.ndarray, list[str]]:
     """Per stock: the slot with the highest mean gate weight over the stream."""
     sums: dict[str, np.ndarray] = {}
     for b in batches:
@@ -93,10 +93,10 @@ def argmax_slot_by_stock(model: Forecaster, batches, panel) -> tuple[np.ndarray,
             sums[s] += w[i]
     stocks = sorted(sums)
     slots = np.array([int(np.argmax(sums[s])) for s in stocks])
-    return slots, np.array(stocks, dtype=object), stocks
+    return slots, stocks
 
 
-def specialization_run(seed: int, include_isolated: bool = True) -> SpecializationOutcome:
+def specialization_run(seed: int) -> SpecializationOutcome:
     """Train the grouped-MoE model, its isolated-expert ablation, and the
     matched encoder+linear baseline on one styled panel."""
     streams = style_panel_streams(seed)
@@ -104,10 +104,8 @@ def specialization_run(seed: int, include_isolated: bool = True) -> Specializati
 
     model_moe, _ = train_variant(seed, MOE_CFG, streams)
     ic_moe = ME.evaluate_model(model_moe, test_b).ranking.ic
-    ic_isolated = float("nan")
-    if include_isolated:
-        model_iso, _ = train_variant(seed, ISOLATED_CFG, streams)
-        ic_isolated = ME.evaluate_model(model_iso, test_b).ranking.ic
+    model_iso, _ = train_variant(seed, ISOLATED_CFG, streams)
+    ic_isolated = ME.evaluate_model(model_iso, test_b).ranking.ic
     model_base, _ = train_variant(seed, BASELINE_CFG, streams)
     ic_baseline = ME.evaluate_model(model_base, test_b).ranking.ic
 
@@ -120,7 +118,7 @@ def specialization_run(seed: int, include_isolated: bool = True) -> Specializati
         ars = np.array([[rep.ar for rep in row] for row in grid])
         best_slots.append(int(np.argmax(ars)))
 
-    slots, _, stock_list = argmax_slot_by_stock(model_moe, test_b, normed)
+    slots, stock_list = argmax_slot_by_stock(model_moe, test_b)
     s_idx = {s: i for i, s in enumerate(normed.stocks)}
     styles = np.array([truth.styles[s_idx[s], 0] for s in stock_list])
     mi = ME.discrete_mutual_information(styles, slots)
@@ -148,19 +146,17 @@ class SweepPoint:
 
 
 EXPERT_SWEEP = [(2, 2), (3, 3), (4, 4), (6, 6), (7, 9)]  # totals 4, 9, 16, 36, 63
+SWEEP_TRAIN = dict(max_epochs=15, patience=5)
 
 
-def expert_count_sweep(seed: int = 0, top_k: int = 2, sweep: list[tuple[int, int]] | None = None,
-                       train_kw: dict | None = None) -> list[SweepPoint]:
+def expert_count_sweep(seed: int = 0, top_k: int = 2) -> list[SweepPoint]:
     """Test-set ICIR across total expert counts at fixed k."""
-    sweep = sweep or EXPERT_SWEEP
-    train_kw = {**dict(max_epochs=15, patience=5), **(train_kw or {})}
     streams = style_panel_streams(seed)
     _, _, _, _, test_b = streams
     points = []
-    for g, e in sweep:
+    for g, e in EXPERT_SWEEP:
         cfg = MoEConfig(groups=g, experts_per_group=e, top_k=top_k, d_e=8, agg_heads=2)
-        model, _ = train_variant(seed, cfg, streams, train_kw=train_kw)
+        model, _ = train_variant(seed, cfg, streams, train_kw=SWEEP_TRAIN)
         report = ME.evaluate_model(model, test_b)
         points.append(SweepPoint(groups=g, experts_per_group=e, total=g * e,
                                  ic=report.ranking.ic, icir=report.ranking.icir))

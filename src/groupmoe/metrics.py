@@ -72,13 +72,14 @@ class EvalReport:
 
 
 def daily_ic(pred: np.ndarray, label: np.ndarray) -> float | None:
-    """Population Pearson correlation for one day; None when degenerate."""
+    """Population Pearson correlation for one day; None when degenerate
+    (fewer than two stocks, or no variance in either series)."""
     pred = np.asarray(pred, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
     if pred.shape != label.shape or pred.ndim != 1:
         raise ValueError(f"daily_ic: shapes {pred.shape} vs {label.shape}")
     if pred.shape[0] < 2:
-        raise ValueError("daily_ic needs at least two stocks")
+        return None
     pc = pred - pred.mean()
     lc = label - label.mean()
     vp = float((pc * pc).mean())
@@ -207,18 +208,17 @@ def backtest(
 
 
 def ranking_for_predictions(predictions: list[np.ndarray], batches: list[DayBatch]) -> RankingReport:
-    """Aggregate IC and RankIC; a day with fewer than two stocks is undefined."""
+    """Aggregate IC and RankIC over the days of a stream."""
     days = list(zip(predictions, batches))
-    ic_series = [daily_ic(p, b.labels) if b.n_stocks >= 2 else None for p, b in days]
-    rank_series = [daily_rank_ic(p, b.labels) if b.n_stocks >= 2 else None for p, b in days]
+    ic_series = [daily_ic(p, b.labels) for p, b in days]
+    rank_series = [daily_rank_ic(p, b.labels) for p, b in days]
     return aggregate_ranking(ic_series, rank_series)
 
 
-def evaluate_model(model, batches: list[DayBatch], mode: str = "long_only", fraction: float = 0.05,
-                   subset: str = "all") -> EvalReport:
+def evaluate_model(model, batches: list[DayBatch], mode: str = "long_only", fraction: float = 0.05) -> EvalReport:
     predictions = [model.predict(b) for b in batches]
     return EvalReport(
-        subset=subset,
+        subset="all",
         ranking=ranking_for_predictions(predictions, batches),
         portfolio=backtest(batches, predictions=predictions, mode=mode, fraction=fraction),
     )

@@ -101,10 +101,13 @@ class MoEHead:
         slots = uniform_init(rng, d_h, (g * e, d_h, d_e))
         self.expert_W = self.store.add("experts.W", slots.transpose(1, 0, 2).reshape(d_h, g * e * d_e))
         self.expert_b = self.store.add("experts.b", np.zeros(g * e * d_e))
+        # drawn even with inner attention off, so that a seed gives the
+        # readout the same initial values either way
         wq, wk, wv = uniform_init(rng, d_e, (g, 3, d_e, d_e)).transpose(1, 0, 2, 3)
-        self.Wq = self.store.add("agg.Wq", wq.copy())  # [G, d_e, d_e], one per group
-        self.Wk = self.store.add("agg.Wk", wk.copy())
-        self.Wv = self.store.add("agg.Wv", wv.copy())
+        if cfg.inner_attention:
+            self.Wq = self.store.add("agg.Wq", wq.copy())  # [G, d_e, d_e], one per group
+            self.Wk = self.store.add("agg.Wk", wk.copy())
+            self.Wv = self.store.add("agg.Wv", wv.copy())
         self.readout = Linear(self.store, "readout", d_e, 1, rng)
         self.last_attention: np.ndarray | None = None  # [G, N, heads, E, E]
 

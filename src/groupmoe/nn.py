@@ -37,14 +37,12 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndar
 class Linear:
     """Affine map on the trailing axis: x @ W + b."""
 
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, bias: bool = True):
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int, rng: np.random.Generator):
         self.W = store.add(f"{name}.W", uniform_init(rng, d_in, (d_in, d_out)))
-        self.b = store.add(f"{name}.b", np.zeros(d_out)) if bias else None
+        self.b = store.add(f"{name}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.W)
-        return out if self.b is None else T.add(out, self.b)
+        return T.add(T.matmul(x, self.W), self.b)
 
 
 class LayerNorm:

@@ -262,7 +262,7 @@ def apply_normalization(panel: StockPanel, stats: NormStats) -> StockPanel:
 #
 # Long format, UTF-8, mandatory header: stock_id,day,price,f_0,...,f_{D-1}.
 # Missing values are empty fields. A sidecar <name>.meta.json records the
-# feature count, day range, and (optionally) normalization statistics.
+# feature count, day range, and stock count.
 
 
 def load_csv(path: str | Path) -> StockPanel:
@@ -315,7 +315,7 @@ def load_csv(path: str | Path) -> StockPanel:
     return StockPanel(stocks=stocks, days=days, features=features, prices=prices)
 
 
-def save_csv(panel: StockPanel, path: str | Path, norm: NormStats | None = None) -> None:
+def save_csv(panel: StockPanel, path: str | Path) -> None:
     """Write the panel plus its sidecar metadata file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -340,8 +340,6 @@ def save_csv(panel: StockPanel, path: str | Path, norm: NormStats | None = None)
         "last_day": panel.days[-1],
         "n_stocks": len(panel.stocks),
     }
-    if norm is not None:
-        meta["normalization"] = norm.to_dict()
     sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

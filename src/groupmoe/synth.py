@@ -62,9 +62,6 @@ class SynthTruth:
     noise_sigma: float
     snr_by_day: np.ndarray  # realized signal variance / noise variance per day
 
-    def static_styles(self) -> np.ndarray:
-        return self.styles[:, 0]
-
     def to_json(self) -> str:
         return json.dumps(
             {

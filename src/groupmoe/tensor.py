@@ -280,11 +280,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor._result(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
 
 
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    return Tensor._result(e, [(a, lambda g: g * e)])
-
-
 def sqrt(a: Tensor) -> Tensor:
     r = np.sqrt(a.data)
     return Tensor._result(r, [(a, lambda g: g * 0.5 / r)])
@@ -435,26 +430,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
         vjps.append((t, vjp))
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=ax), vjps)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("stack of zero tensors")
-    base = tensors[0].shape
-    for t in tensors:
-        if t.shape != base:
-            raise ShapeError(f"stack: mismatched shapes {base} and {t.shape}")
-    ax = axis % (tensors[0].ndim + 1)
-    vjps = []
-    for i, t in enumerate(tensors):
-
-        def vjp(g, i=i):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = i
-            return g[tuple(sl)]
-
-        vjps.append((t, vjp))
-    return Tensor._result(np.stack([t.data for t in tensors], axis=ax), vjps)
 
 
 # -- gather / scatter (2-D, along axis 1) ----------------------------------------

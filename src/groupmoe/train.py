@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import time
+import types
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,11 +58,11 @@ class TrainConfig:
 class Adam:
     """Adaptive-moment optimizer, decay 0.9/0.999, eps 1e-8, bias-corrected."""
 
-    def __init__(self, params: list[tuple[str, T.Tensor]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[tuple[str, T.Tensor]], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params}
         self.v = {name: np.zeros_like(p.data) for name, p in params}
@@ -72,11 +73,11 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = self.m[name] = self.BETA1 * self.m[name] + (1 - self.BETA1) * g
+            v = self.v[name] = self.BETA2 * self.v[name] + (1 - self.BETA2) * g * g
+            m_hat = m / (1 - self.BETA1**self.t)
+            v_hat = v / (1 - self.BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def state(self) -> dict:
         return {"t": self.t, "m": self.m, "v": self.v}
@@ -121,8 +122,6 @@ def validation_ic(model: Forecaster, batches: list[DayBatch]) -> float:
     """Mean daily IC over the validation stream (undefined days excluded)."""
     vals = []
     for b in batches:
-        if b.n_stocks < 2:
-            continue
         v = daily_ic(model.predict(b), b.labels)
         if v is not None:
             vals.append(v)
@@ -250,7 +249,7 @@ def _write_archive(path: str | Path, kind: str, meta: dict, arrays: dict[str, np
 def _read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of an archive of the given kind at the supported version."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if "__meta__" not in npz:
                 raise CheckpointError(f"{path}: not a {kind} archive (no metadata entry)")
             meta = json.loads(bytes(npz["__meta__"]).decode())
@@ -286,34 +285,74 @@ def _section(path: str | Path, arrays: dict[str, np.ndarray], prefix: str,
 
 
 def _is_a(value, kind) -> bool:
-    """isinstance for JSON values: a bool is not a number, an int is a float."""
+    """isinstance for JSON and YAML values against a field annotation: a
+    bool is not a number, an int is a float, ``X | None`` is either, and
+    ``tuple[str, str]`` is a sequence of two strings. A config section
+    (a dataclass) is read by a ``config_problems`` call of its own."""
+    if isinstance(kind, types.UnionType):
+        return any(_is_a(value, k) for k in get_args(kind))
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        return isinstance(value, (list, tuple)) and len(value) == len(args) and all(map(_is_a, value, args))
+    if is_dataclass(kind):
+        return True
     if isinstance(value, bool) and kind is not bool:
         return False
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _meta(path: str | Path, meta: dict, key: str, kind, section: str = ""):
-    """meta[key], which must exist and be a ``kind`` (a type or a tuple of types)."""
-    label = f"{section}.{key}" if section else key
+def _kind_name(kind) -> str:
+    if isinstance(kind, types.UnionType):
+        return " or ".join(_kind_name(k) for k in get_args(kind))
+    return str(kind) if get_origin(kind) else kind.__name__
+
+
+def _label(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+def config_problems(cls, raw, section: str = "") -> list[str]:
+    """Every way ``raw`` fails to spell the config dataclass ``cls``: it is
+    not a mapping, it has a key that is no field or lacks a field without
+    a default, or a value is not of its field's annotated type. Entries
+    are named ``section.key``; the top level of a run config has no
+    section. Run configs and archive metadata are both read through here."""
+    where = repr(section) if section else "the config"
+    if not isinstance(raw, dict):
+        return [f"{where} must be a mapping, got {raw!r}"]
+    kinds = get_type_hints(cls)
+    problems = []
+    unknown = [k for k in raw if k not in kinds]
+    if unknown:
+        problems.append(f"{where} has unknown key(s) {unknown}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            problems.append(f"{_label(section, f.name)!r} is missing")
+    for name, kind in kinds.items():
+        if name in raw and not _is_a(raw[name], kind):
+            problems.append(f"{_label(section, name)!r} is {raw[name]!r}, expected {_kind_name(kind)}")
+    return problems
+
+
+def _meta(path: str | Path, meta: dict, key: str, kind):
+    """meta[key], which must exist and be a ``kind``."""
     if key not in meta:
-        raise CheckpointError(f"{path}: metadata has no {label!r} entry")
+        raise CheckpointError(f"{path}: metadata has no {key!r} entry")
     if not _is_a(meta[key], kind):
-        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise CheckpointError(f"{path}: metadata {label!r} is {meta[key]!r}, expected {names}")
+        raise CheckpointError(f"{path}: metadata {key!r} is {meta[key]!r}, expected {_kind_name(kind)}")
     return meta[key]
 
 
 def _meta_config(path: str | Path, meta: dict, key: str, cls):
-    """The config dataclass ``cls`` from meta[key], which must hold exactly
-    its fields, each of the field's type."""
-    section = _meta(path, meta, key, dict)
-    kinds = get_type_hints(cls)
-    missing, unknown = sorted(kinds.keys() - section.keys()), sorted(section.keys() - kinds.keys())
-    if missing or unknown:
-        raise CheckpointError(f"{path}: metadata {key!r} must hold exactly the {cls.__name__} fields"
-                              f" (missing {missing}, unknown {unknown})")
-    for name, kind in kinds.items():
-        _meta(path, section, name, kind, section=key)
+    """The config dataclass ``cls`` from meta[key], read as a run config
+    section is; an archive records every field, so none may be missing."""
+    if key not in meta:
+        raise CheckpointError(f"{path}: metadata has no {key!r} entry")
+    section = meta[key]
+    problems = (config_problems(cls, section, key)
+                or [f"{_label(key, f.name)!r} is missing" for f in fields(cls) if f.name not in section])
+    if problems:
+        raise CheckpointError(f"{path}: metadata {'; '.join(problems)}")
     return cls(**section)
 
 
@@ -343,7 +382,7 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
     enc_cfg = _meta_config(path, meta, "encoder", EncoderConfig)
     moe_cfg = _meta_config(path, meta, "moe", MoEConfig)
     n_features, window = _meta(path, meta, "n_features", int), _meta(path, meta, "window", int)
-    norm = _meta(path, meta, "normalization", (dict, type(None)))
+    norm = _meta(path, meta, "normalization", dict | None)
     if norm is not None:
         for key in ("mean", "std"):
             stats = norm.get(key)

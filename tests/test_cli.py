@@ -116,6 +116,41 @@ def test_train_batch_days_key_is_config_error(tmp_path, capsys):
     assert "unknown key(s) ['batch_days']" in capsys.readouterr().err
 
 
+MISTYPED_CONFIG = [
+    ("train.lr", "train: {lr: 5e-4}"),  # PyYAML reads a float without a dot as a string
+    ("window", "window: abc"),
+    ("encoder.d_h", "encoder: {d_h: '32'}"),
+    ("moe.top_k", "moe: {top_k: 2.5}"),
+    ("train.max_epochs", "train: {max_epochs: true}"),
+    ("portfolio.fraction", "portfolio: {fraction: '0.1'}"),
+    ("moe.inner_attention", "moe: {inner_attention: 1}"),
+]
+
+
+@pytest.mark.parametrize("entry,text", MISTYPED_CONFIG, ids=[m[0] for m in MISTYPED_CONFIG])
+def test_train_mistyped_config_value_is_config_error(tmp_path, capsys, entry, text):
+    cfg = write_config(tmp_path, **yaml.safe_load(text))
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and f"'{entry}'" in errors[0]
+
+
+def test_train_lists_every_mistyped_config_value(tmp_path, capsys):
+    text = "\n".join(t for _, t in MISTYPED_CONFIG[:3]) + "\nportfolio: {fraction: '0.1', mode: long_short}"
+    cfg = write_config(tmp_path, **yaml.safe_load(text))
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    for entry in ("train.lr", "window", "encoder.d_h", "portfolio.fraction"):
+        assert f"config error: '{entry}' is " in err
+
+
+def test_isolated_experts_config_trains_and_evaluates(tmp_path):
+    cfg = write_config(tmp_path, moe={"inner_attention": False})
+    assert cli.main(["gen", "--config", str(cfg)]) == 0
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    assert cli.main(["eval", "--config", str(cfg)]) == 0
+
+
 def test_train_missing_data_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path, data=str(tmp_path / "nope.csv"))
     assert cli.main(["train", "--config", str(cfg)]) == 2

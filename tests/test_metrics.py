@@ -47,6 +47,13 @@ def test_daily_ic_degenerate_marker():
     assert M.daily_ic(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2, 3])) is None
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_daily_ic_fewer_than_two_stocks_is_undefined(n):
+    pred, label = np.arange(n, dtype=np.float64), np.arange(n, dtype=np.float64)
+    assert M.daily_ic(pred, label) is None
+    assert M.daily_rank_ic(pred, label) is None
+
+
 def test_daily_ic_affine_invariance_and_sign(rng):
     a = rng.normal(size=20)
     b = rng.normal(size=20)

@@ -5,7 +5,9 @@ import pytest
 
 from groupmoe import moe as M
 from groupmoe import tensor as T
+from groupmoe import train as TR
 from groupmoe.encoders import EncoderConfig, HiddenStates
+from groupmoe.objective import LossWeights
 from groupmoe.panel import DayBatch
 
 from conftest import finite_diff_grad, rel_err
@@ -297,6 +299,19 @@ def test_isolated_experts_toggle(rng):
     assert np.array_equal(g2.mixed.data, g2.raw.data)
     assert np.array_equal(g1.raw.data, g2.raw.data)  # same seed, same experts
     assert not np.array_equal(g1.mixed.data, g2.mixed.data)
+
+
+def test_isolated_head_has_no_attention_parameters(rng):
+    enabled = dict(make_model(seed=3, g=3, e=3).named_parameters())
+    disabled = make_model(seed=3, g=3, e=3, inner=False)
+    names = [name for name, _ in disabled.named_parameters()]
+    assert not [name for name in names if name.startswith("moe.agg.")]
+    assert names == [name for name in enabled if not name.startswith("moe.agg.")]
+    for name, p in disabled.named_parameters():
+        assert p.data.tobytes() == enabled[name].data.tobytes(), name
+    opt = TR.Adam(disabled.named_parameters(), lr=1e-3)
+    TR.step(disabled, [make_batch(rng)], opt, TR.TrainConfig(), LossWeights())
+    assert [name for name, p in disabled.named_parameters() if p.grad is None] == []
 
 
 @pytest.mark.parametrize("kind", ["conv", "recurrent", "attention"])

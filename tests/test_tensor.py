@@ -238,7 +238,6 @@ PRIMITIVES = [
     ("div", lambda x: T.tsum(T.div(x, T.Tensor(np.full(x.shape, 2.0)) + T.square(x)))),
     ("tanh", lambda x: T.tsum(T.tanh(x))),
     ("sigmoid", lambda x: T.tsum(T.sigmoid(x))),
-    ("exp", lambda x: T.tsum(T.exp(x))),
     ("sqrt", lambda x: T.tsum(T.sqrt(T.square(x) + 1.0))),
     ("square", lambda x: T.tsum(T.square(x))),
     ("mean_axis", lambda x: T.tsum(T.square(T.tmean(x, axis=1)))),
@@ -248,7 +247,6 @@ PRIMITIVES = [
     ("reshape_transpose", lambda x: T.tsum(T.square(T.transpose(x.reshape(2, 6))))),
     ("getitem", lambda x: T.tsum(T.square(x[1:, :2]))),
     ("concat", lambda x: T.tsum(T.square(T.concat([x[:1], x[1:]], axis=0)))),
-    ("stack", lambda x: T.tsum(T.square(T.stack([T.tanh(x), T.sigmoid(x)], axis=1)))),
     ("clamp_min", lambda x: T.tsum(T.clamp_min(T.square(x), 0.25))),
 ]
 
