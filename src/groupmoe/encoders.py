@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nn import LayerNorm, Linear, ParamStore, scaled_dot_attention, uniform_init
+from .nn import LayerNorm, Linear, ParamStore, uniform_init
 from .tensor import Tensor
 
 
@@ -173,8 +173,7 @@ class AttentionEncoder:
             raise EncoderConfigError(f"batch window {t_len} != configured window {self.window}")
         x = T.add(self.in_proj(windows), self.pos.reshape(1, t_len, self.cfg.d_h))
         for blk in self.blocks:
-            attended, probs = scaled_dot_attention(blk["q"](x), blk["k"](x), blk["v"](x), self.cfg.heads)
-            self.last_attention = probs.data
+            attended, self.last_attention = T.attention(blk["q"](x), blk["k"](x), blk["v"](x), self.cfg.heads)
             x = blk["ln1"](T.add(x, blk["o"](attended)))
             ff = blk["ff2"](T.relu(blk["ff1"](x)))
             x = blk["ln2"](T.add(x, ff))

@@ -191,7 +191,8 @@ def backtest(
         excess.append(ret - bench)
         book = dict(zip(batch.stock_ids, w))
         names = set(book) | set(prev)
-        turnover.append(0.5 * sum(abs(book.get(s, 0.0) - prev.get(s, 0.0)) for s in names))
+        # fsum: correctly rounded, so the set's hash order cannot reach the bytes
+        turnover.append(0.5 * math.fsum(abs(book.get(s, 0.0) - prev.get(s, 0.0)) for s in names))
         prev = book
     if not excess:
         raise InsufficientDataError("backtest needs at least one day")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import HiddenStates, build_encoder
-from .nn import Linear, ParamStore, scaled_dot_attention, uniform_init
+from .nn import Linear, ParamStore, uniform_init
 from .panel import DayBatch
 from .tensor import Tensor
 
@@ -82,7 +82,7 @@ def route_from_logits(flat: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
     if not (1 <= k <= n_slots):
         raise MoEConfigError(f"top_k {k} out of range [1, {n_slots}]")
     selected = top_k_indices(flat.data, k)
-    normed = T.softmax(T.take_rows(flat, selected), axis=1)
+    normed = T.softmax(T.take_rows(flat, selected))
     return selected, T.scatter_rows(normed, selected, n_slots)
 
 
@@ -147,8 +147,8 @@ class MoEHead:
         n, g, e, d_e = raw.shape
         o = T.transpose(raw, (1, 0, 2, 3)).reshape(g, n * e, d_e)
         q, k, v = (T.matmul(o, w).reshape(g * n, e, d_e) for w in (self.Wq, self.Wk, self.Wv))
-        mixed, probs = scaled_dot_attention(q, k, v, self.cfg.agg_heads)
-        self.last_attention = probs.data.reshape(g, n, *probs.shape[1:])
+        mixed, probs = T.attention(q, k, v, self.cfg.agg_heads)
+        self.last_attention = probs.reshape(g, n, *probs.shape[1:])
         return T.add(raw, T.transpose(mixed.reshape(g, n, e, d_e), (1, 0, 2, 3)))
 
     def readout_slots(self, mixed: Tensor) -> Tensor:

@@ -60,30 +60,3 @@ class LayerNorm:
         var = T.tmean(T.square(centered), axis=-1, keepdims=True)
         normed = T.div(centered, T.sqrt(var + self.EPS))
         return T.add(T.mul(normed, self.gamma), self.beta)
-
-
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """[N, L, d] -> [N, heads, L, d/heads]."""
-    n, length, d = x.shape
-    return T.transpose(x.reshape(n, length, heads, d // heads), (0, 2, 1, 3))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """[N, heads, L, dh] -> [N, L, heads*dh]."""
-    n, heads, length, dh = x.shape
-    return T.transpose(x, (0, 2, 1, 3)).reshape(n, length, heads * dh)
-
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tensor]:
-    """Multi-head scaled dot-product attention over already-projected q/k/v.
-
-    Inputs are [N, L, d]; returns ([N, L, d], probs [N, heads, L, L]).
-    Scale is 1/sqrt(d/heads).
-    """
-    d = q.shape[-1]
-    scale = 1.0 / math.sqrt(d / heads)
-    qh, kh, vh = (split_heads(t, heads) for t in (q, k, v))
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), T.Tensor(scale))
-    probs = T.softmax(scores, axis=-1)
-    out = merge_heads(T.matmul(probs, vh))
-    return out, probs

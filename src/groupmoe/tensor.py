@@ -11,6 +11,7 @@ is an error so the gradient rules stay auditable.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -371,20 +372,153 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- softmax ---------------------------------------------------------------------
 
+# Rows are processed in blocks of about this many elements (256 KB), so
+# that the column passes of the row helpers stay in cache.
+_BLOCK_ELEMS = 1 << 15
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along one axis, computed with max-subtraction for stability."""
-    ax = axis % a.ndim if a.ndim else 0
-    if a.ndim == 0 or a.shape[ax] == 0:
-        raise ShapeError(f"softmax: empty axis {axis} of shape {a.shape}")
-    s = a.data - a.data.max(axis=ax, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=ax, keepdims=True)
+
+def _row_blocks(x: np.ndarray):
+    """Consecutive row blocks (views) of a C-contiguous 2-D array."""
+    step = max(1, _BLOCK_ELEMS // x.shape[1])
+    return (slice(lo, lo + step) for lo in range(0, x.shape[0], step))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) for a 2-D x, by elementwise maxima over its columns."""
+    m = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(m, x[:, j : j + 1], out=m)
+    return m
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1, keepdims=True) for a 2-D x, byte for byte.
+
+    Replays numpy's pairwise order over the columns instead of reducing
+    along a narrow innermost axis: below 8 columns a sequential sum from
+    0.0; up to 128, eight strided accumulators combined as a fixed tree,
+    then the leftover columns in sequence, all added to numpy's identity
+    +0.0 (which turns a -0.0 sum into +0.0). Wider rows use numpy itself.
+    """
+    n = x.shape[1]
+    if n > 128:
+        return x.sum(axis=-1, keepdims=True)
+    col = [x[:, j : j + 1] for j in range(n)]
+    if n < 8:
+        r, rest = col[0] + 0.0, col[1:]
+    else:
+        a = col[:8]
+        for i in range(8, n - n % 8, 8):
+            a = [acc + c for acc, c in zip(a, col[i : i + 8])]
+        r, rest = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])), col[n - n % 8 :]
+        r += 0.0
+    for c in rest:
+        r += c
+    return r
+
+
+def _softmax_rows(x: np.ndarray, scale=None) -> None:
+    """In place: each row of the C-contiguous 2-D x becomes softmax(scale * row)."""
+    for rows in _row_blocks(x):
+        b = x[rows]
+        if scale is not None:
+            b *= scale
+        b -= _row_max(b)
+        np.exp(b, out=b)
+        b /= _row_sum(b)
+
+
+def _softmax_vjp_rows(s: np.ndarray, g: np.ndarray, out: np.ndarray, scale=None) -> None:
+    """out = s * (g - rowsum(g * s)) * scale for softmax rows s; out may be g itself."""
+    for rows in _row_blocks(s):
+        sb, gb, ob = s[rows], g[rows], out[rows]
+        np.subtract(gb, _row_sum(gb * sb), out=ob)
+        ob *= sb
+        if scale is not None:
+            ob *= scale
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax along the last axis, computed with max-subtraction for stability."""
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ShapeError(f"softmax: empty last axis of shape {a.shape}")
+    s = a.data.copy()
+    _softmax_rows(s.reshape(-1, a.shape[-1]))
 
     def vjp(g):
-        return s * (g - (g * s).sum(axis=ax, keepdims=True))
+        rows = (-1, a.shape[-1])
+        out = np.empty_like(s)
+        _softmax_vjp_rows(s.reshape(rows), g.reshape(rows), out.reshape(rows))
+        return out
 
     return Tensor._result(s, [(a, vjp)])
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention over already-projected q/k/v.
+
+    Inputs are [N, L, d]; returns (out [N, L, d], probs [N, heads, L, L]),
+    the probabilities as a plain array. Scale is 1/sqrt(d/heads). One tape
+    node: the backward is the closed form from the saved probabilities,
+    dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)) * scale,
+    dQ = dS K, dK = dS^T Q, with dS computed once for q and k. It runs the
+    matmuls of the composed split-heads graph on the same operand layouts,
+    so values and gradients match it byte for byte.
+    """
+    if not (q.ndim == 3 and q.shape == k.shape == v.shape):
+        raise ShapeError(f"attention: need equal [N, L, d] q/k/v, got {q.shape}, {k.shape}, {v.shape}")
+    n, length, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    dh = d // heads
+    scale = np.asarray(1.0 / math.sqrt(d / heads))
+
+    def split(x):  # [N, L, d] -> [N, heads, L, dh] view
+        return x.reshape(n, length, heads, dh).transpose(0, 2, 1, 3)
+
+    def merged(a, b):  # a @ b, written head by head into a fresh [N, L, d] array
+        out = np.empty((n, length, d))
+        np.matmul(a, b, out=split(out))
+        return out
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    rows = (-1, length)
+    _softmax_rows(p.reshape(rows), scale)
+
+    live = tuple(t.requires_grad for t in (q, k, v))
+    memo: list = [None, None]  # the output grad of this sweep, its pending [dq, dk, dv]
+
+    def grads(g):
+        """(dq, dk, dv) for the output gradient g; None for a parent without grad."""
+        d_out = np.ascontiguousarray(split(g))
+        dq = dk = dv = None
+        if live[2]:
+            dv = merged(np.swapaxes(p, -1, -2), d_out)
+        if live[0] or live[1]:
+            ds = np.matmul(d_out, np.swapaxes(vh, -1, -2))
+            del d_out
+            _softmax_vjp_rows(p.reshape(rows), ds.reshape(rows), ds.reshape(rows), scale)
+            if live[0]:
+                dq = merged(ds, kh)
+            if live[1]:
+                dk = np.matmul(np.swapaxes(qh, -1, -2), ds).transpose(0, 3, 1, 2).reshape(n, length, d)
+        return [dq, dk, dv]
+
+    def vjp_for(i):
+        def vjp(g):
+            if memo[0] is not g:
+                memo[:] = [g, grads(g)]
+            pending = memo[1]
+            grad, pending[i] = pending[i], None
+            if all(x is None for x in pending):
+                memo[:] = [None, None]
+            return grad
+
+        return vjp
+
+    out = merged(p, vh)
+    return Tensor._result(out, [(t, vjp_for(i)) for i, t in enumerate((q, k, v))]), p
 
 
 # -- shape manipulation ------------------------------------------------------------

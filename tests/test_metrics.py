@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +267,35 @@ def test_backtest_hand_ledger_long_only():
     assert rep.ir == pytest.approx(252 * 0.01 / (math.sqrt(var) * math.sqrt(252)), abs=1e-10)
     # turnover: establish C (1.0); C->A (1.0); A->A (0.0); A->B (1.0)
     assert np.allclose(rep.turnover_series, [0.5, 1.0, 0.0, 1.0])
+
+
+
+TURNOVER_SCRIPT = """
+import numpy as np
+from groupmoe import metrics as M
+from groupmoe.panel import DayBatch
+rng = np.random.default_rng(0)
+batches, preds = [], []
+for d in range(30):
+    n = int(rng.integers(30, 61))
+    ids = [f"s{j}" for j in rng.choice(80, n, replace=False)]
+    batches.append(DayBatch(day=f"d{d:02d}", windows=np.zeros((n, 1, 1)), labels=rng.normal(size=n),
+                            stock_ids=ids))
+    preds.append(rng.normal(size=n))
+print(np.array(M.backtest(batches, preds).turnover_series).tobytes().hex())
+"""
+
+
+def test_backtest_turnover_bytes_independent_of_hash_seed():
+    # the turnover sums run over a set of stock ids, whose order follows string hashing
+    src = str(Path(M.__file__).resolve().parents[1])
+    out = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", TURNOVER_SCRIPT], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1] == out[2]
 
 
 def test_backtest_hand_ledger_long_short():

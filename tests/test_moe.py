@@ -41,7 +41,7 @@ def test_gate_topk_against_high_precision_oracle():
     assert idx.tolist() == [[0, 1]]
     flat = T.Tensor(logits)
     picked = T.take_rows(flat, idx)
-    w = T.scatter_rows(T.softmax(picked, axis=1), idx, 4).data[0]
+    w = T.scatter_rows(T.softmax(picked), idx, 4).data[0]
     e2, e1 = mpmath.exp(2), mpmath.exp(1)
     w0 = float(e2 / (e2 + e1))
     assert abs(w[0] - w0) < 1e-12 and abs(w[1] - (1.0 - w0)) < 1e-12
@@ -91,6 +91,19 @@ def test_routing_invariants_random_instances():
 def test_routing_tie_break_lowest_flat_index():
     logits = np.array([[1.0, 3.0, 3.0, 3.0, 0.0]])
     assert M.top_k_indices(logits, 2).tolist() == [[1, 2]]
+
+
+def test_routing_ties_across_top_k_boundary():
+    # each row's k-th and (k+1)-th largest logits tie; the lowest indices win
+    logits = np.array([[0.5, 2.0, 1.0, 1.0, 1.0, 1.0, -3.0],
+                       [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                       [-2.0, -1.0, -2.0, 0.0, -2.0, -2.0, -2.0]])
+    selected, weights = M.route_from_logits(T.Tensor(logits), 3)
+    assert selected.tolist() == [[1, 2, 3], [0, 1, 2], [0, 1, 3]]
+    for row, sel in zip(weights.data, selected):
+        nz = np.flatnonzero(row)
+        assert nz.tolist() == sel.tolist()
+        assert abs(row.sum() - 1.0) < 1e-15
 
 
 # -- experts ---------------------------------------------------------------------

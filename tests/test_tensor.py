@@ -89,13 +89,113 @@ def test_softmax_high_precision_oracle():
 
 def test_softmax_sums_to_one(rng):
     x = rng.uniform(-30, 30, (7, 9))
-    out = T.softmax(T.Tensor(x), axis=1).data
+    out = T.softmax(T.Tensor(x)).data
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_softmax_empty_axis_rejected():
     with pytest.raises(T.ShapeError):
-        T.softmax(T.Tensor(np.zeros((3, 0))), axis=1)
+        T.softmax(T.Tensor(np.zeros((3, 0))))
+
+
+@pytest.mark.parametrize("width", range(1, 131))
+def test_row_sum_replays_numpy_pairwise_order(width, rng):
+    # magnitudes spread over 40 orders, so any change of summation order shows
+    x = rng.normal(size=(37, width)) * np.exp(rng.uniform(-46, 46, (37, width)))
+    x[0] = -0.0  # numpy's sum of this row is +0.0
+    assert T._row_sum(x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
+    assert T._row_max(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 8), (3, 5, 9), (5000, 9), (2, 130), (3, 200)])
+def test_softmax_matches_three_line_formula_bytes(shape, rng):
+    x = rng.normal(size=shape) * 10.0
+    g = rng.normal(size=shape)
+    want = x - x.max(axis=-1, keepdims=True)
+    np.exp(want, out=want)
+    want /= want.sum(axis=-1, keepdims=True)
+    want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
+    leaf = T.Tensor(x, requires_grad=True)
+    out = T.softmax(leaf)
+    T.tsum(T.mul(out, T.Tensor(g))).backward()
+    assert out.data.tobytes() == want.tobytes()
+    assert leaf.grad.tobytes() == want_grad.tobytes()
+
+
+# -- attention --------------------------------------------------------------
+
+
+def composed_attention(q, k, v, heads):
+    """Oracle: the split-heads / softmax / merge-heads graph T.attention fuses."""
+    n, length, d = q.shape
+
+    def split(x):
+        return T.transpose(x.reshape(n, length, heads, d // heads), (0, 2, 1, 3))
+
+    qh, kh, vh = (split(t) for t in (q, k, v))
+    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), T.Tensor(1.0 / math.sqrt(d / heads)))
+    probs = T.softmax(scores)
+    out = T.transpose(T.matmul(probs, vh), (0, 2, 1, 3)).reshape(n, length, d)
+    return out, probs.data
+
+
+def attention_run(fn, arrays, weight, grads=(True, True, True)):
+    """Output, probabilities and input gradients of sum(weight * attention)."""
+    q, k, v = (T.Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, grads))
+    out, probs = fn(q, k, v)
+    T.tsum(T.mul(out, T.Tensor(weight))).backward()
+    return [out.data, probs] + [t.grad for t in (q, k, v)]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("length", [1, 3, 9, 17])
+def test_attention_matches_composed_graph_bytes(heads, length, rng):
+    arrays = [rng.normal(size=(6, length, 8)) for _ in range(3)]
+    weight = rng.normal(size=(6, length, 8))
+    got = attention_run(lambda q, k, v: T.attention(q, k, v, heads), arrays, weight)
+    want = attention_run(lambda q, k, v: composed_attention(q, k, v, heads), arrays, weight)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_attention_matches_composed_graph_across_row_blocks(rng):
+    # 400 x 4 heads x 9 rows of 9 scores: several row blocks of the softmax helpers
+    arrays = [rng.normal(size=(400, 9, 16)) * 3.0 for _ in range(3)]
+    weight = rng.normal(size=(400, 9, 16))
+    assert 400 * 4 * 9 > 2 * T._BLOCK_ELEMS // 9
+    got = attention_run(lambda q, k, v: T.attention(q, k, v, 4), arrays, weight)
+    want = attention_run(lambda q, k, v: composed_attention(q, k, v, 4), arrays, weight)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grads", [(False, True, True), (True, False, True), (True, True, False),
+                                   (False, False, True), (True, False, False)])
+def test_attention_parent_without_grad(grads, rng):
+    arrays = [rng.normal(size=(5, 9, 8)) for _ in range(3)]
+    weight = rng.normal(size=(5, 9, 8))
+    got = attention_run(lambda q, k, v: T.attention(q, k, v, 2), arrays, weight, grads)
+    want = attention_run(lambda q, k, v: composed_attention(q, k, v, 2), arrays, weight, grads)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+    assert [g is not None for g in got[2:]] == list(grads)
+
+
+def test_attention_is_one_tape_node(rng):
+    q, k, v = (T.Tensor(rng.normal(size=(3, 9, 8)), requires_grad=True) for _ in range(3))
+    out, probs = T.attention(q, k, v, 4)
+    assert probs.shape == (3, 4, 9, 9)
+    assert [p for p, _ in out._vjps] == [q, k, v]
+    assert len(T.ComputationTape.trace(T.tsum(out)).nodes) == 5
+
+
+def test_attention_rejects_bad_shapes():
+    x = T.Tensor(np.zeros((2, 3, 8)))
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, T.Tensor(np.zeros((2, 3, 4))), 2)
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, x, 3)
 
 
 # -- elementwise -----------------------------------------------------------
@@ -242,7 +342,9 @@ PRIMITIVES = [
     ("square", lambda x: T.tsum(T.square(x))),
     ("mean_axis", lambda x: T.tsum(T.square(T.tmean(x, axis=1)))),
     ("sum_keepdims", lambda x: T.tsum(T.square(x - T.tmean(x, axis=1, keepdims=True)))),
-    ("softmax", lambda x: T.tsum(T.square(T.softmax(x, axis=1)))),
+    ("softmax", lambda x: T.tsum(T.square(T.softmax(x)))),
+    ("attention", lambda x: T.tsum(T.square(T.attention(x.reshape(1, 3, 4), T.tanh(x).reshape(1, 3, 4),
+                                                         T.square(x).reshape(1, 3, 4), 2)[0]))),
     ("matmul", lambda x: T.tsum(T.square(T.matmul(x, T.Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))))),
     ("reshape_transpose", lambda x: T.tsum(T.square(T.transpose(x.reshape(2, 6))))),
     ("getitem", lambda x: T.tsum(T.square(x[1:, :2]))),
@@ -270,7 +372,7 @@ def test_take_scatter_roundtrip_and_grad(rng):
 
     def build(x):
         picked = T.take_rows(x, idx)
-        spread = T.scatter_rows(T.softmax(picked, axis=1), idx, 6)
+        spread = T.scatter_rows(T.softmax(picked), idx, 6)
         return T.tsum(T.square(spread))
 
     check_grad(build, x0)
@@ -288,7 +390,7 @@ def test_composite_gradient(rng):
 
     def build(x):
         h = T.tanh(T.matmul(x, T.Tensor(w)))
-        s = T.softmax(h, axis=1)
+        s = T.softmax(h)
         m = h - T.tmean(h, axis=1, keepdims=True)
         return T.tsum(s * m) + T.tmean(T.square(h))
 
