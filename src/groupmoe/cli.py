@@ -122,23 +122,23 @@ def cmd_train(args) -> int:
 
     model = Forecaster(cfg.encoder, cfg.moe, n_features=panel.n_features,
                        window=cfg.window, seed=cfg.train.seed)
-    resume = None
-    if getattr(args, "resume", None):
-        resume = TR.load_train_state(args.resume, model)
-    result, state = TR.train(model, train_b, val_b, cfg.train, cfg.loss,
-                             log_path=out / "log.jsonl", resume=resume)
+    resume = TR.load_train_state(args.resume, model) if getattr(args, "resume", None) else None
+    state, history = TR.train(model, train_b, val_b, cfg.train, cfg.loss,
+                              log_path=out / "log.jsonl", resume=resume)
 
-    model.load_state_arrays(result.best_state)
+    model.load_state_arrays(state.best_params)
     TR.save_checkpoint(model, out / "checkpoint.npz", norm=norm)
     TR.save_train_state(out / "train_state.npz", state, model)
-    with open(out / "curves.csv", "w", newline="", encoding="utf-8") as fh:
+    # a resumed run continues its curves, as train() continues its log
+    with open(out / "curves.csv", "w" if resume is None else "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "expert_loss", "router_loss", "val_ic"])
-        for row in result.history:
+        if fh.tell() == 0:
+            writer.writerow(["epoch", "train_loss", "expert_loss", "router_loss", "val_ic"])
+        for row in history:
             writer.writerow([row["epoch"], repr(float(row["train_loss"])), repr(float(row["expert_loss"])),
                              repr(float(row["router_loss"])), repr(float(row["val_ic"]))])
-    print(f"trained {result.epochs_run} epoch(s); best val IC {result.best_val_ic:.6f}"
-          f" at epoch {result.best_epoch}; checkpoint {out / 'checkpoint.npz'}")
+    print(f"trained {state.epoch} epoch(s); best val IC {state.best_val_ic:.6f}"
+          f" at epoch {state.best_epoch}; checkpoint {out / 'checkpoint.npz'}")
     return EXIT_OK
 
 

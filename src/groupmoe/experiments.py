@@ -42,14 +42,14 @@ def style_panel_streams(seed: int):
 
 
 def train_variant(seed: int, moe_cfg: MoEConfig, streams,
-                  train_kw: dict | None = None) -> tuple[Forecaster, TR.TrainResult]:
+                  train_kw: dict | None = None) -> Forecaster:
     normed, _, train_b, val_b, _ = streams
     enc = EncoderConfig(**SPECIALIZATION_ENCODER)
     tcfg = TR.TrainConfig(seed=seed, **{**SPECIALIZATION_TRAIN, **(train_kw or {})})
     model = Forecaster(enc, moe_cfg, n_features=normed.n_features, window=WINDOW, seed=seed)
-    result, _ = TR.train(model, train_b, val_b, tcfg, LossWeights())
-    model.load_state_arrays(result.best_state)
-    return model, result
+    state, _ = TR.train(model, train_b, val_b, tcfg, LossWeights())
+    model.load_state_arrays(state.best_params)
+    return model
 
 
 @dataclass
@@ -102,11 +102,11 @@ def specialization_run(seed: int) -> SpecializationOutcome:
     streams = style_panel_streams(seed)
     normed, truth, _, _, test_b = streams
 
-    model_moe, _ = train_variant(seed, MOE_CFG, streams)
+    model_moe = train_variant(seed, MOE_CFG, streams)
     ic_moe = ME.evaluate_model(model_moe, test_b).ranking.ic
-    model_iso, _ = train_variant(seed, ISOLATED_CFG, streams)
+    model_iso = train_variant(seed, ISOLATED_CFG, streams)
     ic_isolated = ME.evaluate_model(model_iso, test_b).ranking.ic
-    model_base, _ = train_variant(seed, BASELINE_CFG, streams)
+    model_base = train_variant(seed, BASELINE_CFG, streams)
     ic_baseline = ME.evaluate_model(model_base, test_b).ranking.ic
 
     # best-performing slot per style, by per-expert portfolio AR on the
@@ -156,7 +156,7 @@ def expert_count_sweep(seed: int = 0, top_k: int = 2) -> list[SweepPoint]:
     points = []
     for g, e in EXPERT_SWEEP:
         cfg = MoEConfig(groups=g, experts_per_group=e, top_k=top_k, d_e=8, agg_heads=2)
-        model, _ = train_variant(seed, cfg, streams, train_kw=SWEEP_TRAIN)
+        model = train_variant(seed, cfg, streams, train_kw=SWEEP_TRAIN)
         report = ME.evaluate_model(model, test_b)
         points.append(SweepPoint(groups=g, experts_per_group=e, total=g * e,
                                  ic=report.ranking.ic, icir=report.ranking.icir))

@@ -13,7 +13,7 @@ import json
 import time
 import types
 import zipfile
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -79,14 +79,6 @@ class Adam:
             v_hat = v / (1 - self.BETA2**self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
-    def state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = {k: np.asarray(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v, dtype=np.float64) for k, v in state["v"].items()}
-
 
 def day_loss(model: Forecaster, batches: list[DayBatch], weights: LossWeights) -> tuple[T.Tensor, LossBreakdown]:
     """Forward pass over whole days plus the weighted expert and router loss."""
@@ -131,21 +123,38 @@ def validation_ic(model: Forecaster, batches: list[DayBatch]) -> float:
 
 
 @dataclass
-class TrainResult:
-    best_state: dict
+class TrainState:
+    """Everything a run needs to go on; the fields are exactly the entries
+    of a train-state archive. ``epoch`` counts the finished epochs. The
+    four maps from parameter name to array are the archive sections whose
+    prefixes ``SECTIONS`` gives; the other fields are its metadata."""
+
+    epoch: int
     best_val_ic: float
     best_epoch: int
-    epochs_run: int
-    history: list[dict] = field(default_factory=list)
+    epochs_since_best: int
+    optimizer_t: int
+    rng_state: dict
+    params: dict[str, np.ndarray]
+    best_params: dict[str, np.ndarray]
+    adam_m: dict[str, np.ndarray]
+    adam_v: dict[str, np.ndarray]
+
+
+SECTIONS = {"params": "param/", "best_params": "best/", "adam_m": "adam_m/", "adam_v": "adam_v/"}
 
 
 def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[DayBatch],
           cfg: TrainConfig, weights: LossWeights, log_path: str | Path | None = None,
-          resume: dict | None = None) -> tuple[TrainResult, dict]:
-    """Run the full loop; returns the best-validation-IC parameters.
+          resume: TrainState | None = None) -> tuple[TrainState, list[dict]]:
+    """Train until ``cfg.max_epochs`` epochs are finished or the last
+    ``cfg.patience`` epochs did not raise the best validation IC; returns
+    the run's state and one history row per epoch trained by this call.
 
-    ``resume`` is a train-state dict from ``load_train_state``; epoch
-    numbering, optimizer moments, and the shuffle rng continue from it.
+    ``resume`` (from ``load_train_state``) is continued in place: epoch
+    numbering, optimizer moments, and the shuffle rng go on from it, and a
+    run that is already finished trains nothing. ``log_path`` is started
+    afresh for a new run and appended to for a resumed one.
     """
     problems = cfg.validate() + weights.validate()
     if problems:
@@ -155,27 +164,20 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
 
     optimizer = Adam(model.named_parameters(), lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    start_epoch = 0
-    best_state = model.state_arrays()
-    best_val_ic = -np.inf
-    best_epoch = -1
-    epochs_since_best = 0
+    if resume is None:
+        state = TrainState(epoch=0, best_val_ic=-np.inf, best_epoch=-1, epochs_since_best=0, optimizer_t=0,
+                           rng_state=rng.bit_generator.state, params=model.state_arrays(),
+                           best_params=model.state_arrays(), adam_m=optimizer.m, adam_v=optimizer.v)
+    else:
+        state = resume
+        model.load_state_arrays(state.params)
+        optimizer.t, optimizer.m, optimizer.v = state.optimizer_t, state.adam_m, state.adam_v
+        rng.bit_generator.state = state.rng_state
     history: list[dict] = []
 
-    if resume is not None:
-        model.load_state_arrays(resume["params"])
-        optimizer.load_state(resume["optimizer"])
-        rng.bit_generator.state = resume["rng_state"]
-        start_epoch = int(resume["epoch"])
-        best_state = resume["best_params"]
-        best_val_ic = float(resume["best_val_ic"])
-        best_epoch = int(resume["best_epoch"])
-        epochs_since_best = int(resume["epochs_since_best"])
-
-    log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
-    epoch = start_epoch
+    log_fh = open(log_path, "w" if resume is None else "a", encoding="utf-8") if log_path else None
     try:
-        for epoch in range(start_epoch, cfg.max_epochs):
+        while state.epoch < cfg.max_epochs and state.epochs_since_best < cfg.patience:
             t0 = time.perf_counter()
             order = rng.permutation(len(train_batches))
             sums = np.zeros(3)
@@ -185,7 +187,7 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
             n_steps = len(order)
             val_ic = validation_ic(model, val_batches)
             row = {
-                "epoch": epoch,
+                "epoch": state.epoch,
                 "train_loss": sums[0] / n_steps,
                 "expert_loss": sums[1] / n_steps,
                 "router_loss": sums[2] / n_steps,
@@ -196,38 +198,18 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
             if log_fh:
                 log_fh.write(json.dumps(row) + "\n")
                 log_fh.flush()
-            if val_ic > best_val_ic:
-                best_val_ic = val_ic
-                best_epoch = epoch
-                best_state = model.state_arrays()
-                epochs_since_best = 0
+            if val_ic > state.best_val_ic:
+                state.best_val_ic, state.best_epoch, state.best_params = val_ic, state.epoch, model.state_arrays()
+                state.epochs_since_best = 0
             else:
-                epochs_since_best += 1
-                if epochs_since_best >= cfg.patience:
-                    epoch += 1
-                    break
-        else:
-            epoch = cfg.max_epochs
+                state.epochs_since_best += 1
+            state.epoch += 1
     finally:
         if log_fh:
             log_fh.close()
 
-    return TrainResult(
-        best_state=best_state,
-        best_val_ic=float(best_val_ic),
-        best_epoch=best_epoch,
-        epochs_run=epoch,
-        history=history,
-    ), {
-        "params": model.state_arrays(),
-        "optimizer": optimizer.state(),
-        "rng_state": rng.bit_generator.state,
-        "epoch": epoch,
-        "best_params": best_state,
-        "best_val_ic": float(best_val_ic),
-        "best_epoch": best_epoch,
-        "epochs_since_best": epochs_since_best,
-    }
+    state.params, state.optimizer_t, state.rng_state = model.state_arrays(), optimizer.t, rng.bit_generator.state
+    return state, history
 
 
 # -- archives --------------------------------------------------------------------
@@ -269,12 +251,15 @@ def _read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarr
 def _section(path: str | Path, arrays: dict[str, np.ndarray], prefix: str,
              model: Forecaster) -> dict[str, np.ndarray]:
     """The arrays under ``prefix``, which must hold exactly the model's
-    parameter names, each with the model's shape."""
+    parameter names, each a float64 array of the model's shape."""
     section = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
     shapes = {name: p.data.shape for name, p in model.named_parameters()}
     for name, shape in shapes.items():
         if name not in section:
             raise CheckpointError(f"{path}: missing parameter {prefix}{name}")
+        if section[name].dtype != np.float64:
+            raise CheckpointError(f"{path}: parameter {prefix}{name} has dtype {section[name].dtype},"
+                                  " expected float64")
         if section[name].shape != shape:
             raise CheckpointError(f"{path}: parameter {prefix}{name} has shape {section[name].shape},"
                                   f" the model needs {shape}")
@@ -375,9 +360,8 @@ def save_checkpoint(model: Forecaster, path: str | Path, norm: NormStats | None 
     _write_archive(path, "model", meta, arrays)
 
 
-def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = None,
-                    expect_moe: MoEConfig | None = None) -> tuple[Forecaster, dict]:
-    """Rebuild the model from a checkpoint; optional config guards."""
+def load_checkpoint(path: str | Path) -> tuple[Forecaster, dict]:
+    """Rebuild the model from a checkpoint."""
     meta, arrays = _read_archive(path, "model")
     enc_cfg = _meta_config(path, meta, "encoder", EncoderConfig)
     moe_cfg = _meta_config(path, meta, "moe", MoEConfig)
@@ -388,14 +372,6 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
             stats = norm.get(key)
             if not (isinstance(stats, list) and len(stats) == n_features and all(_is_a(v, float) for v in stats)):
                 raise CheckpointError(f"{path}: metadata 'normalization.{key}' must be a list of {n_features} numbers")
-    if expect_encoder is not None and asdict(expect_encoder) != asdict(enc_cfg):
-        raise CheckpointError(
-            f"{path}: checkpoint encoder config {asdict(enc_cfg)} does not match requested {asdict(expect_encoder)}"
-        )
-    if expect_moe is not None and asdict(expect_moe) != asdict(moe_cfg):
-        raise CheckpointError(
-            f"{path}: checkpoint moe config {asdict(moe_cfg)} does not match requested {asdict(expect_moe)}"
-        )
     try:
         model = Forecaster(enc_cfg, moe_cfg, n_features=n_features, window=window, seed=0)
     except (EncoderConfigError, MoEConfigError) as e:
@@ -407,43 +383,29 @@ def load_checkpoint(path: str | Path, expect_encoder: EncoderConfig | None = Non
 # -- resume state ---------------------------------------------------------------
 
 
-def save_train_state(path: str | Path, state: dict, model: Forecaster) -> None:
+def save_train_state(path: str | Path, state: TrainState, model: Forecaster) -> None:
     """Separate archive with everything needed to continue training."""
-    meta = {
-        "encoder": asdict(model.encoder_cfg),
-        "moe": asdict(model.moe_cfg),
-        "epoch": state["epoch"],
-        "best_val_ic": state["best_val_ic"],
-        "best_epoch": state["best_epoch"],
-        "epochs_since_best": state["epochs_since_best"],
-        "optimizer_t": state["optimizer"]["t"],
-        "rng_state": state["rng_state"],
-    }
-    sections = {"param/": state["params"], "best/": state["best_params"],
-                "adam_m/": state["optimizer"]["m"], "adam_v/": state["optimizer"]["v"]}
-    arrays = {prefix + name: arr for prefix, named in sections.items() for name, arr in named.items()}
+    meta = {"encoder": asdict(model.encoder_cfg), "moe": asdict(model.moe_cfg)}
+    arrays = {}
+    for f in fields(TrainState):
+        value = getattr(state, f.name)
+        if f.name in SECTIONS:
+            arrays.update((SECTIONS[f.name] + name, arr) for name, arr in value.items())
+        else:
+            meta[f.name] = value
     _write_archive(path, "train_state", meta, arrays)
 
 
-def load_train_state(path: str | Path, model: Forecaster) -> dict:
+def load_train_state(path: str | Path, model: Forecaster) -> TrainState:
     meta, arrays = _read_archive(path, "train_state")
     if (_meta_config(path, meta, "encoder", EncoderConfig) != model.encoder_cfg
             or _meta_config(path, meta, "moe", MoEConfig) != model.moe_cfg):
         raise CheckpointError(f"{path}: train state was written for a different model configuration")
-    rng_state = _meta(path, meta, "rng_state", dict)
+    state = TrainState(**{name: _section(path, arrays, SECTIONS[name], model) if name in SECTIONS
+                          else kind(_meta(path, meta, name, kind))
+                          for name, kind in get_type_hints(TrainState).items()})
     try:
-        np.random.PCG64(0).state = rng_state
+        np.random.PCG64(0).state = state.rng_state
     except (TypeError, ValueError, KeyError) as e:
         raise CheckpointError(f"{path}: metadata 'rng_state' is not a PCG64 state ({e!r})") from None
-    return {
-        "params": _section(path, arrays, "param/", model),
-        "best_params": _section(path, arrays, "best/", model),
-        "optimizer": {"t": _meta(path, meta, "optimizer_t", int), "m": _section(path, arrays, "adam_m/", model),
-                      "v": _section(path, arrays, "adam_v/", model)},
-        "rng_state": rng_state,
-        "epoch": _meta(path, meta, "epoch", int),
-        "best_val_ic": float(_meta(path, meta, "best_val_ic", float)),
-        "best_epoch": _meta(path, meta, "best_epoch", int),
-        "epochs_since_best": _meta(path, meta, "epochs_since_best", int),
-    }
-
+    return state

@@ -206,12 +206,12 @@ def test_criterion_5_teacher_student():
     train_b, val_b, _ = P.split(normed, spec, 5)
     model = MOE.Forecaster(RunConfig().encoder, RunConfig().moe, n_features=8, window=5, seed=0)
     cfg = TR.TrainConfig(max_epochs=20, lr=5e-4, patience=10, seed=0)
-    result, _ = TR.train(model, train_b, val_b, cfg, LossWeights())
+    state, _ = TR.train(model, train_b, val_b, cfg, LossWeights())
     elapsed = time.perf_counter() - t0
-    assert result.best_val_ic > 0.8, f"val IC {result.best_val_ic:.3f}"
+    assert state.best_val_ic > 0.8, f"val IC {state.best_val_ic:.3f}"
     assert elapsed < 300, f"took {elapsed:.0f}s"
-    ok(5, f"val IC {result.best_val_ic:.3f} at epoch {result.best_epoch} "
-          f"({result.epochs_run} epochs, {elapsed:.0f}s, defaults incl. lr 5e-4, G=7 E=9 k=8)")
+    ok(5, f"val IC {state.best_val_ic:.3f} at epoch {state.best_epoch} "
+          f"({state.epoch} epochs, {elapsed:.0f}s, defaults incl. lr 5e-4, G=7 E=9 k=8)")
 
 
 # -- 6. specialization effect --------------------------------------------------------------

@@ -168,18 +168,42 @@ def test_train_determinism_bit_identical_checkpoints(tmp_path):
     assert hashes[0] == hashes[1]
 
 
-def test_train_resume_continues_epochs(tmp_path):
+def epochs_logged(out):
+    """The epoch column of log.jsonl and of curves.csv in ``out``."""
+    log = [json.loads(line)["epoch"] for line in (out / "log.jsonl").read_text().splitlines()]
+    curves = [int(row["epoch"]) for row in csv.DictReader((out / "curves.csv").read_text().splitlines())]
+    return log, curves
+
+
+def resume_to_four_epochs(tmp_path):
+    """Train 2 epochs into <tmp>/out, resume that run to 4; returns the 4-epoch config."""
     cfg2 = write_config(tmp_path, train={"max_epochs": 2, "lr": 1e-3, "seed": 4})
     assert cli.main(["gen", "--config", str(cfg2)]) == 0
     assert cli.main(["train", "--config", str(cfg2)]) == 0
     cfg4 = tmp_path / "run4.yaml"
-    raw = yaml.safe_load((tmp_path / "run.yaml").read_text())
+    raw = yaml.safe_load(cfg2.read_text())
     raw["train"]["max_epochs"] = 4
     cfg4.write_text(yaml.safe_dump(raw))
     out = tmp_path / "out"
     assert cli.main(["train", "--config", str(cfg4), "--resume", str(out / "train_state.npz")]) == 0
-    rows = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
-    assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
+    return cfg2, cfg4
+
+
+def test_train_resume_continues_epochs(tmp_path):
+    cfg2, _ = resume_to_four_epochs(tmp_path)
+    out = tmp_path / "out"
+    assert epochs_logged(out) == ([0, 1, 2, 3], [0, 1, 2, 3])
+    # a fresh run into the same directory starts both records afresh
+    assert cli.main(["train", "--config", str(cfg2)]) == 0
+    assert epochs_logged(out) == ([0, 1], [0, 1])
+
+
+def test_train_resume_writes_straight_run_bytes(tmp_path):
+    _, cfg4 = resume_to_four_epochs(tmp_path)
+    straight = tmp_path / "straight"
+    assert cli.main(["train", "--config", str(cfg4), "--out", str(straight)]) == 0
+    for name in ("checkpoint.npz", "train_state.npz", "curves.csv"):
+        assert sha(tmp_path / "out" / name) == sha(straight / name), name
 
 
 # -- eval / backtest -----------------------------------------------------------------
@@ -288,6 +312,28 @@ def test_train_resume_missing_adam_entry_is_data_error(trained, capsys):
     assert cli.main(["train", "--config", str(cfg), "--resume", str(out / "train_state.npz")]) == 2
     err = capsys.readouterr().err
     assert "train_state.npz" in err and "adam_m/moe.readout.b" in err
+
+
+NOT_FLOAT64 = [("str", lambda a: np.full(a.shape, "x")), ("complex", lambda a: a + 1j)]
+
+
+@pytest.mark.parametrize("convert", [c for _, c in NOT_FLOAT64], ids=[n for n, _ in NOT_FLOAT64])
+def test_eval_checkpoint_non_float64_parameter_is_data_error(trained, capsys, convert):
+    cfg, out = trained
+    key = "param/moe.readout.b"
+    rewrite_archive(out / "checkpoint.npz", lambda a: a.update({key: convert(a[key])}))
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and key in err and "float64" in err
+
+
+def test_train_resume_string_adam_entry_is_data_error(trained, capsys):
+    cfg, out = trained
+    key = "adam_m/moe.readout.b"
+    rewrite_archive(out / "train_state.npz", lambda a: a.update({key: np.full(a[key].shape, "x")}))
+    assert cli.main(["train", "--config", str(cfg), "--resume", str(out / "train_state.npz")]) == 2
+    err = capsys.readouterr().err
+    assert "train_state.npz" in err and key in err and "float64" in err
 
 
 def test_eval_checkpoint_extra_encoder_key_is_data_error(trained, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,11 @@ def test_patience_counter_stops_after_two_epochs(monkeypatch):
     train_b, val_b, _ = tiny_streams()
     seq = iter([0.5, 0.4, 0.3, 0.2])
     monkeypatch.setattr(TR, "validation_ic", lambda m, b: next(seq))
-    result, _ = TR.train(model, train_b, val_b, TR.TrainConfig(max_epochs=10, patience=1, lr=1e-4),
-                         LossWeights())
-    assert result.epochs_run == 2
-    assert result.best_epoch == 0
-    assert result.best_val_ic == 0.5
+    state, _ = TR.train(model, train_b, val_b, TR.TrainConfig(max_epochs=10, patience=1, lr=1e-4),
+                        LossWeights())
+    assert state.epoch == 2
+    assert state.best_epoch == 0
+    assert state.best_val_ic == 0.5
 
 
 def test_early_stop_returns_best_epoch_params(monkeypatch):
@@ -52,13 +54,13 @@ def test_early_stop_returns_best_epoch_params(monkeypatch):
         return snap
 
     monkeypatch.setattr(TR, "validation_ic", lambda m, b: next(seq))
-    result, _ = TR.train(model, train_b, val_b, TR.TrainConfig(max_epochs=5, patience=3, lr=1e-4),
-                         LossWeights())
-    assert result.best_epoch == 1
-    assert result.epochs_run == 5
+    state, _ = TR.train(model, train_b, val_b, TR.TrainConfig(max_epochs=5, patience=3, lr=1e-4),
+                        LossWeights())
+    assert state.best_epoch == 1
+    assert state.epoch == 5
     # parameters returned are from epoch 1, not the last epoch
     current = model.state_arrays()
-    assert any(not np.array_equal(result.best_state[k], current[k]) for k in current)
+    assert any(not np.array_equal(state.best_params[k], current[k]) for k in current)
 
 
 def test_training_deterministic_and_checkpoint_bytes_equal(tmp_path):
@@ -66,9 +68,9 @@ def test_training_deterministic_and_checkpoint_bytes_equal(tmp_path):
     for run in range(2):
         model = tiny_model(seed=5)
         train_b, val_b, _ = tiny_streams(seed=3)
-        result, _ = TR.train(model, train_b, val_b, TR.TrainConfig(max_epochs=3, lr=1e-3, seed=11),
-                             LossWeights())
-        model.load_state_arrays(result.best_state)
+        state, _ = TR.train(model, train_b, val_b, TR.TrainConfig(max_epochs=3, lr=1e-3, seed=11),
+                            LossWeights())
+        model.load_state_arrays(state.best_params)
         path = tmp_path / f"ck{run}.npz"
         TR.save_checkpoint(model, path)
         files.append(path.read_bytes())
@@ -175,16 +177,6 @@ def test_checkpoint_garbage_file_is_parse_error(tmp_path):
         TR.load_checkpoint(path)
 
 
-def test_checkpoint_config_guard(tmp_path):
-    model = tiny_model(kind="conv")
-    path = tmp_path / "conv.npz"
-    TR.save_checkpoint(model, path)
-    rec_cfg = EncoderConfig(kind="recurrent", d_h=6, depth=1, heads=2, kernel=2)
-    with pytest.raises(TR.CheckpointError) as e:
-        TR.load_checkpoint(path, expect_encoder=rec_cfg)
-    assert "does not match" in str(e.value)
-
-
 BAD_CHECKPOINT_META = [
     ("encoder.kind", lambda m: m["encoder"].update(kind="lstm")),
     ("moe.inner_attention", lambda m: m["moe"].update(inner_attention=1)),
@@ -226,27 +218,67 @@ def test_resume_continues_epoch_numbering(tmp_path):
     # straight 4-epoch run
     model_full = tiny_model(seed=2)
     tb, vb, _ = tiny_streams(seed=8)
-    full_result, full_state = TR.train(model_full, tb, vb, cfg_b, LossWeights())
+    full, _ = TR.train(model_full, tb, vb, cfg_b, LossWeights())
 
     # two-phase run with a save/load in the middle
     model = tiny_model(seed=2)
-    _, state = TR.train(model, tb, vb, cfg_a, LossWeights())
+    state, _ = TR.train(model, tb, vb, cfg_a, LossWeights())
     state_path = tmp_path / "state.npz"
     TR.save_train_state(state_path, state, model)
-    resumed = TR.load_train_state(state_path, model)
-    result2, state2 = TR.train(model, tb, vb, cfg_b, LossWeights(), resume=resumed)
+    resumed, history = TR.train(model, tb, vb, cfg_b, LossWeights(), resume=TR.load_train_state(state_path, model))
 
-    assert [r["epoch"] for r in result2.history] == [2, 3]
-    assert state2["epoch"] == full_state["epoch"] == 4
-    assert result2.best_val_ic == pytest.approx(full_result.best_val_ic, abs=1e-15)
-    for k, arr in full_state["params"].items():
-        assert np.allclose(state2["params"][k], arr, atol=1e-14), k
+    assert [r["epoch"] for r in history] == [2, 3]
+    assert resumed.epoch == 4
+    # every scalar equal, every section array byte-identical and in the same order
+    for f in fields(TR.TrainState):
+        got, want = getattr(resumed, f.name), getattr(full, f.name)
+        if f.name in TR.SECTIONS:
+            assert list(got) == list(want) and all(got[k].tobytes() == want[k].tobytes() for k in got), f.name
+        else:
+            assert got == want, f.name
+
+
+def no_epoch(model, batches):
+    raise AssertionError("a finished run trained another epoch")
+
+
+def test_resume_after_patience_is_spent_trains_nothing(tmp_path, monkeypatch):
+    model = tiny_model()
+    tb, vb, _ = tiny_streams()
+    cfg = TR.TrainConfig(max_epochs=10, patience=1, lr=1e-4)
+    seq = iter([0.5, 0.4])
+    monkeypatch.setattr(TR, "validation_ic", lambda m, b: next(seq))
+    state, _ = TR.train(model, tb, vb, cfg, LossWeights())
+    assert (state.epoch, state.epochs_since_best) == (2, 1)
+    path, again = tmp_path / "state.npz", tmp_path / "again.npz"
+    TR.save_train_state(path, state, model)
+
+    monkeypatch.setattr(TR, "validation_ic", no_epoch)
+    resumed, history = TR.train(model, tb, vb, cfg, LossWeights(), resume=TR.load_train_state(path, model))
+    assert history == [] and resumed.epoch == 2
+    TR.save_train_state(again, resumed, model)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_resume_below_saved_epoch_keeps_it(tmp_path, monkeypatch):
+    model = tiny_model()
+    tb, vb, _ = tiny_streams()
+    state, _ = TR.train(model, tb, vb, TR.TrainConfig(max_epochs=4, lr=1e-3), LossWeights())
+    path, again = tmp_path / "state.npz", tmp_path / "again.npz"
+    TR.save_train_state(path, state, model)
+
+    monkeypatch.setattr(TR, "validation_ic", no_epoch)
+    resumed, history = TR.train(model, tb, vb, TR.TrainConfig(max_epochs=2, lr=1e-3), LossWeights(),
+                                resume=TR.load_train_state(path, model))
+    assert history == [] and resumed.epoch == 4
+    TR.save_train_state(again, resumed, model)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_train_state_config_guard(tmp_path):
     model = tiny_model()
     tb, vb, _ = tiny_streams()
-    _, state = TR.train(model, tb, vb, TR.TrainConfig(max_epochs=1, lr=1e-3), LossWeights())
+    state, _ = TR.train(model, tb, vb, TR.TrainConfig(max_epochs=1, lr=1e-3), LossWeights())
     path = tmp_path / "state.npz"
     TR.save_train_state(path, state, model)
     other = tiny_model(kind="recurrent")
@@ -266,7 +298,7 @@ BAD_TRAIN_STATE_META = [
 def test_train_state_malformed_metadata_names_entry(tmp_path, entry, edit):
     model = tiny_model()
     tb, vb, _ = tiny_streams()
-    _, state = TR.train(model, tb, vb, TR.TrainConfig(max_epochs=1, lr=1e-3), LossWeights())
+    state, _ = TR.train(model, tb, vb, TR.TrainConfig(max_epochs=1, lr=1e-3), LossWeights())
     path = tmp_path / "state.npz"
     TR.save_train_state(path, state, model)
     rewrite_meta(path, edit)
@@ -278,11 +310,11 @@ def test_train_state_malformed_metadata_names_entry(tmp_path, entry, edit):
 def test_training_log_lines(tmp_path):
     import json
 
-    model = tiny_model()
     tb, vb, _ = tiny_streams()
     log_path = tmp_path / "log.jsonl"
-    TR.train(model, tb, vb, TR.TrainConfig(max_epochs=2, lr=1e-3), LossWeights(), log_path=log_path)
+    for _ in range(2):  # a new run starts the log afresh
+        TR.train(tiny_model(), tb, vb, TR.TrainConfig(max_epochs=2, lr=1e-3), LossWeights(), log_path=log_path)
     rows = [json.loads(line) for line in log_path.read_text().splitlines()]
-    assert len(rows) == 2
+    assert [r["epoch"] for r in rows] == [0, 1]
     for key in ("epoch", "train_loss", "expert_loss", "router_loss", "val_ic", "wall_ms"):
         assert key in rows[0]
