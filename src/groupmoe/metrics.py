@@ -10,6 +10,7 @@ excluded from aggregation with its count reported.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,28 +139,100 @@ def aggregate_ranking(ic_series: list[float | None], rank_ic_series: list[float 
 # -- portfolios --------------------------------------------------------------
 
 
+def _weights(signals: np.ndarray, mode: str, fraction: float, day: str | None) -> np.ndarray:
+    """[S, N] positions, row s built from signal s as ``build_portfolio`` says.
+
+    One stable argsort per leg ranks every row at once; a day is named in
+    the errors when ``day`` is given.
+    """
+    where = "" if day is None else f"day {day}: "
+    if mode not in ("long_only", "long_short"):
+        raise ValueError(f"unknown portfolio mode {mode!r}")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"{where}portfolio fraction {fraction!r} is outside (0, 1]")
+    n_signals, n = signals.shape
+    if n == 0:
+        raise ValueError(f"{where}empty day: cannot build a portfolio")
+    finite = np.isfinite(signals).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{where}signal {int(np.argmin(finite))} has a non-finite value")
+    n_leg = math.ceil(fraction * n)
+    rows = np.arange(n_signals)[:, None]
+    weights = np.zeros((n_signals, n))
+    weights[rows, np.argsort(-signals, axis=1, kind="stable")[:, :n_leg]] += 1.0 / n_leg
+    if mode == "long_short":
+        weights[rows, np.argsort(signals, axis=1, kind="stable")[:, :n_leg]] -= 1.0 / n_leg
+    return weights
+
+
 def build_portfolio(pred: np.ndarray, mode: str = "long_only", fraction: float = 0.05) -> np.ndarray:
     """Equal-weight position vector over the day's stocks.
 
     Long leg: top ceil(fraction*N) by prediction (ties to the lower
     index, i.e. the lexicographically first stock id), weights 1/n_long.
     long_short adds a -1/n_short leg on the bottom ceil(fraction*N); the
-    legs are financed independently and sum to +1 / -1.
+    legs are financed independently and sum to +1 / -1. ``fraction``
+    must lie in (0, 1] and every prediction must be finite.
     """
-    if mode not in ("long_only", "long_short"):
-        raise ValueError(f"unknown portfolio mode {mode!r}")
-    pred = np.asarray(pred, dtype=np.float64)
-    n = pred.shape[0]
-    if n == 0:
-        raise ValueError("empty day: cannot build a portfolio")
-    n_leg = math.ceil(fraction * n)
-    order = np.argsort(-pred, kind="stable")
-    weights = np.zeros(n)
-    weights[order[:n_leg]] += 1.0 / n_leg
-    if mode == "long_short":
-        order_asc = np.argsort(pred, kind="stable")
-        weights[order_asc[:n_leg]] -= 1.0 / n_leg
-    return weights
+    return _weights(np.asarray(pred, dtype=np.float64)[None], mode, fraction, None)[0]
+
+
+def backtest_signals(
+    batches: list[DayBatch],
+    signals: list[np.ndarray],
+    mode: str = "long_only",
+    fraction: float = 0.05,
+) -> list[PortfolioReport]:
+    """Daily-rebalanced portfolios of S signals over one DayBatch stream.
+
+    ``signals`` holds one [S, N] array per batch, row s holding signal s
+    for the batch's stocks; report s is the backtest of row s alone.
+    Labels already carry the one-day execution lag, so no extra shift
+    happens here. Excess is versus the equal-weight universe mean; no
+    transaction costs. Turnover is half the absolute change of the
+    positions over the union of two consecutive days' stocks.
+    """
+    if len(signals) != len(batches):
+        raise ValueError(f"{len(signals)} signal days vs {len(batches)} batches")
+    if not batches:
+        raise InsufficientDataError("a backtest needs at least one day")
+    n_signals = len(signals[0])
+    excess, turnover = [], []
+    prev_cols: dict[str, int] = {}
+    prev_w = np.zeros((n_signals, 0))
+    for batch, sig in zip(batches, signals):
+        sig = np.asarray(sig, dtype=np.float64)
+        if sig.shape != (n_signals, batch.n_stocks):
+            raise ValueError(f"day {batch.day}: signals of shape {sig.shape} for"
+                             f" {n_signals} signals over {batch.n_stocks} stocks")
+        cols = dict(zip(batch.stock_ids, range(batch.n_stocks)))
+        if len(cols) != batch.n_stocks:
+            repeated = next(s for s, c in Counter(batch.stock_ids).items() if c > 1)
+            raise ValueError(f"day {batch.day}: stock id {repeated!r} appears more than once")
+        w = _weights(sig, mode, fraction, batch.day)
+        bench = float(batch.labels.mean())
+        # one 1-D dot per signal: a matrix-vector product sums in another order
+        excess.append([float(row @ batch.labels) - bench for row in w])
+        # yesterday's stocks keep their columns; today's new ones follow
+        union = dict(prev_cols)
+        at = [union.setdefault(s, len(union)) for s in batch.stock_ids]
+        change = np.zeros((n_signals, len(union)))
+        change[:, at] = w
+        change[:, : len(prev_cols)] -= prev_w
+        # fsum: correctly rounded, so no order of the stocks can reach the bytes
+        turnover.append([0.5 * math.fsum(row) for row in np.abs(change).tolist()])
+        prev_cols, prev_w = cols, w
+    return [_report(list(ex), list(to), mode, fraction) for ex, to in zip(zip(*excess), zip(*turnover))]
+
+
+def _report(excess: list[float], turnover: list[float], mode: str, fraction: float) -> PortfolioReport:
+    arr = np.asarray(excess)
+    ar = float(arr.mean() * TRADING_DAYS)
+    std = float(arr.std())
+    ir = None if std == 0.0 else ar / (std * math.sqrt(TRADING_DAYS))
+    return PortfolioReport(
+        ar=ar, ir=ir, excess_series=excess, turnover_series=turnover, mode=mode, fraction=fraction
+    )
 
 
 def backtest(
@@ -168,41 +241,9 @@ def backtest(
     mode: str = "long_only",
     fraction: float = 0.05,
 ) -> PortfolioReport:
-    """Daily-rebalanced portfolio over a DayBatch stream.
-
-    ``predictions`` holds one array per batch, aligned to its stocks.
-    Labels already carry the one-day execution lag, so no extra shift
-    happens here. Excess is versus the equal-weight universe mean; no
-    transaction costs.
-    """
-    if len(predictions) != len(batches):
-        raise ValueError(f"{len(predictions)} prediction days vs {len(batches)} batches")
-    excess, turnover = [], []
-    prev: dict[str, float] = {}
-    for batch, pred in zip(batches, predictions):
-        pred = np.asarray(pred)
-        if pred.shape[0] != batch.n_stocks:
-            raise ValueError(
-                f"day {batch.day}: {pred.shape[0]} predictions for {batch.n_stocks} stocks"
-            )
-        w = build_portfolio(pred, mode=mode, fraction=fraction)
-        ret = float(w @ batch.labels)
-        bench = float(batch.labels.mean())
-        excess.append(ret - bench)
-        book = dict(zip(batch.stock_ids, w))
-        names = set(book) | set(prev)
-        # fsum: correctly rounded, so the set's hash order cannot reach the bytes
-        turnover.append(0.5 * math.fsum(abs(book.get(s, 0.0) - prev.get(s, 0.0)) for s in names))
-        prev = book
-    if not excess:
-        raise InsufficientDataError("backtest needs at least one day")
-    arr = np.asarray(excess)
-    ar = float(arr.mean() * TRADING_DAYS)
-    std = float(arr.std())
-    ir = None if std == 0.0 else ar / (std * math.sqrt(TRADING_DAYS))
-    return PortfolioReport(
-        ar=ar, ir=ir, excess_series=excess, turnover_series=turnover, mode=mode, fraction=fraction
-    )
+    """``backtest_signals`` of one signal: ``predictions`` holds one array
+    per batch, aligned to its stocks."""
+    return backtest_signals(batches, [np.asarray(p)[None] for p in predictions], mode, fraction)[0]
 
 
 # -- whole-model evaluation -----------------------------------------------------
@@ -228,16 +269,11 @@ def evaluate_model(model, batches: list[DayBatch], mode: str = "long_only", frac
 def per_expert_report(model, batches: list[DayBatch], mode: str = "long_only",
                       fraction: float = 0.05) -> list[list[PortfolioReport]]:
     """[G][E] grid of backtests, each slot's readout used alone as the signal."""
-    slot_preds = [model.predict_per_slot(b) for b in batches]  # [N, G, E] per day
-    g, e = slot_preds[0].shape[1], slot_preds[0].shape[2]
-    grid = []
-    for j in range(g):
-        row = []
-        for k in range(e):
-            preds = [sp[:, j, k] for sp in slot_preds]
-            row.append(backtest(batches, predictions=preds, mode=mode, fraction=fraction))
-        grid.append(row)
-    return grid
+    slots = [model.predict_per_slot(b) for b in batches]  # [N, G, E] per day
+    # each day's [G*E, N] view has slot j*E + k in row j*E + k
+    reports = backtest_signals(batches, [s.reshape(len(s), -1).T for s in slots], mode, fraction)
+    e = slots[0].shape[2]
+    return [reports[j : j + e] for j in range(0, len(reports), e)]
 
 
 def subset_batches(batches: list[DayBatch], panel, tag: str) -> list[DayBatch]:

@@ -168,13 +168,16 @@ class MoEHead:
             raise T.ShapeError(f"combine: weights {weights.shape} vs readouts {readout.shape}")
         return T.tsum(T.mul(weights, readout), axis=(1, 2))
 
-    def __call__(self, z: HiddenStates) -> tuple[Tensor, RoutingDecision, GroupedExpertOutput]:
-        decision = self.gate_forward(z)
+    def expert_outputs(self, z: HiddenStates) -> GroupedExpertOutput:
+        """Experts, inner-group mixing and readout: every slot, gate aside."""
         raw = self.run_experts(z)
         mixed = self.aggregate(raw)
-        readout = self.readout_slots(mixed)
-        y_hat = self.combine(decision.weights, readout)
-        return y_hat, decision, GroupedExpertOutput(raw=raw, mixed=mixed, readout=readout)
+        return GroupedExpertOutput(raw=raw, mixed=mixed, readout=self.readout_slots(mixed))
+
+    def __call__(self, z: HiddenStates) -> tuple[Tensor, RoutingDecision, GroupedExpertOutput]:
+        decision = self.gate_forward(z)
+        grouped = self.expert_outputs(z)
+        return self.combine(decision.weights, grouped.readout), decision, grouped
 
 
 class Forecaster:
@@ -209,17 +212,19 @@ class Forecaster:
                 raise ValueError(f"parameter {name}: shape {arr.shape} != {p.data.shape}")
             p.data = arr.copy()
 
-    def forward(self, batch: DayBatch) -> tuple[Tensor, RoutingDecision, GroupedExpertOutput]:
+    def encode(self, batch: DayBatch) -> HiddenStates:
         if batch.n_stocks == 0:
             raise ValueError(f"empty batch for day {batch.day}")
-        z = HiddenStates(z=self.encoder(Tensor(batch.windows)), day=batch.day)
-        return self.head(z)
+        return HiddenStates(z=self.encoder(Tensor(batch.windows)), day=batch.day)
+
+    def forward(self, batch: DayBatch) -> tuple[Tensor, RoutingDecision, GroupedExpertOutput]:
+        return self.head(self.encode(batch))
 
     def predict(self, batch: DayBatch) -> np.ndarray:
         y_hat, _, _ = self.forward(batch)
         return y_hat.data.copy()
 
     def predict_per_slot(self, batch: DayBatch) -> np.ndarray:
-        """[N, G, E] readouts, bypassing the gate (per-expert analysis)."""
-        _, _, grouped = self.forward(batch)
-        return grouped.readout.data.copy()
+        """[N, G, E] readouts, each slot's own prediction (per-expert
+        analysis); the gate, top-k and combination are not run."""
+        return self.head.expert_outputs(self.encode(batch)).readout.data.copy()

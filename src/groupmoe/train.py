@@ -251,7 +251,7 @@ def _read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarr
 def _section(path: str | Path, arrays: dict[str, np.ndarray], prefix: str,
              model: Forecaster) -> dict[str, np.ndarray]:
     """The arrays under ``prefix``, which must hold exactly the model's
-    parameter names, each a float64 array of the model's shape."""
+    parameter names, each a finite float64 array of the model's shape."""
     section = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
     shapes = {name: p.data.shape for name, p in model.named_parameters()}
     for name, shape in shapes.items():
@@ -263,6 +263,8 @@ def _section(path: str | Path, arrays: dict[str, np.ndarray], prefix: str,
         if section[name].shape != shape:
             raise CheckpointError(f"{path}: parameter {prefix}{name} has shape {section[name].shape},"
                                   f" the model needs {shape}")
+        if not np.isfinite(section[name]).all():
+            raise CheckpointError(f"{path}: parameter {prefix}{name} has a non-finite value")
     unknown = sorted(section.keys() - shapes.keys())
     if unknown:
         raise CheckpointError(f"{path}: unknown parameter {prefix}{unknown[0]}")

@@ -336,6 +336,31 @@ def test_train_resume_string_adam_entry_is_data_error(trained, capsys):
     assert "train_state.npz" in err and key in err and "float64" in err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_eval_checkpoint_non_finite_parameter_is_data_error(trained, capsys, value):
+    cfg, out = trained
+    key = "param/moe.readout.b"
+    rewrite_archive(out / "checkpoint.npz", lambda a: a.update({key: np.full(a[key].shape, value)}))
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and key in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("prefix", ["param/", "best/", "adam_m/", "adam_v/"])
+def test_train_resume_non_finite_entry_is_data_error(trained, capsys, prefix):
+    cfg, out = trained
+    key = prefix + "moe.gate.W"
+
+    def poison(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key][0, 0] = -np.inf
+
+    rewrite_archive(out / "train_state.npz", poison)
+    assert cli.main(["train", "--config", str(cfg), "--resume", str(out / "train_state.npz")]) == 2
+    err = capsys.readouterr().err
+    assert "train_state.npz" in err and key in err and "non-finite" in err
+
+
 def test_eval_checkpoint_extra_encoder_key_is_data_error(trained, capsys):
     cfg, out = trained
     rewrite_meta(out / "checkpoint.npz", lambda m: m["encoder"].update(dropout=0.1))

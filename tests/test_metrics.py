@@ -344,6 +344,137 @@ def test_backtest_misaligned_predictions_rejected(rng):
         M.backtest(batches, predictions=preds[:2])
 
 
+# -- the matrix backtester against the per-signal loop -----------------------------
+
+
+def portfolio_oracle(pred, mode, fraction):
+    """The 1-D build_portfolio of before the matrix backtester."""
+    n = pred.shape[0]
+    n_leg = math.ceil(fraction * n)
+    weights = np.zeros(n)
+    weights[np.argsort(-pred, kind="stable")[:n_leg]] += 1.0 / n_leg
+    if mode == "long_short":
+        weights[np.argsort(pred, kind="stable")[:n_leg]] -= 1.0 / n_leg
+    return weights
+
+
+def backtest_oracle(batches, predictions, mode, fraction):
+    """The per-signal loop backtest used to run: one portfolio per day and a
+    dict/set book for turnover. Returns (excess, turnover, ar, ir)."""
+    excess, turnover = [], []
+    prev = {}
+    for batch, pred in zip(batches, predictions):
+        w = portfolio_oracle(np.asarray(pred, dtype=np.float64), mode, fraction)
+        excess.append(float(w @ batch.labels) - float(batch.labels.mean()))
+        book = dict(zip(batch.stock_ids, w))
+        names = set(book) | set(prev)
+        turnover.append(0.5 * math.fsum(abs(book.get(s, 0.0) - prev.get(s, 0.0)) for s in names))
+        prev = book
+    arr = np.asarray(excess)
+    ar = float(arr.mean() * 252)
+    std = float(arr.std())
+    return excess, turnover, ar, None if std == 0.0 else ar / (std * math.sqrt(252))
+
+
+def assert_same_report(rep, want):
+    excess, turnover, ar, ir = want
+    assert np.asarray(rep.excess_series).tobytes() == np.asarray(excess).tobytes()
+    assert np.asarray(rep.turnover_series).tobytes() == np.asarray(turnover).tobytes()
+    assert all(type(v) is float for v in rep.excess_series + rep.turnover_series)
+    assert np.float64(rep.ar).tobytes() == np.float64(ar).tobytes()
+    assert (rep.ir is None and ir is None) or np.float64(rep.ir).tobytes() == np.float64(ir).tobytes()
+
+
+def shifting_universe(rng, n_signals):
+    """Days whose stock sets gain, lose, share no ids with, or reorder the day
+    before, with rounded (tied) signals; returns (batches, [S, N] per day)."""
+    universes = [
+        [f"s{i:02d}" for i in range(10)],
+        [f"s{i:02d}" for i in range(15)],  # gains five
+        [f"s{i:02d}" for i in range(3, 12)],  # loses some
+        [f"t{i:02d}" for i in range(7)],  # shares none
+        [f"t{i:02d}" for i in (6, 2, 0, 5, 1, 3, 4)],  # same set, other order
+        [f"t{i:02d}" for i in range(4)] + [f"s{i:02d}" for i in range(20, 29)],  # some of each
+        ["u0"],  # a single stock
+    ]
+    batches, signals = [], []
+    for d, ids in enumerate(universes):
+        n = len(ids)
+        batches.append(DayBatch(day=f"d{d}", windows=np.zeros((n, 1, 1)),
+                                labels=rng.normal(scale=0.02, size=n), stock_ids=ids))
+        signals.append(np.round(rng.normal(size=(n_signals, n)), 1))
+    return batches, signals
+
+
+@pytest.mark.parametrize("n_signals", [1, 64])
+@pytest.mark.parametrize("mode,fraction", [("long_only", 0.05), ("long_short", 0.05), ("long_only", 0.3),
+                                           ("long_only", 1.0), ("long_short", 1.0), ("long_short", 0.7)])
+def test_backtest_signals_bytes_equal_per_signal_loop(rng, n_signals, mode, fraction):
+    batches, signals = shifting_universe(rng, n_signals)
+    reports = M.backtest_signals(batches, signals, mode=mode, fraction=fraction)
+    assert len(reports) == n_signals
+    for s, rep in enumerate(reports):
+        rows = [sig[s] for sig in signals]
+        want = backtest_oracle(batches, rows, mode, fraction)
+        assert_same_report(rep, want)
+        assert rep.mode == mode and rep.fraction == fraction
+        assert_same_report(M.backtest(batches, rows, mode=mode, fraction=fraction), want)
+
+
+@pytest.mark.parametrize("mode", ["long_only", "long_short"])
+def test_build_portfolio_bytes_equal_one_dimensional_sort(rng, mode):
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        fraction = float(rng.uniform(0.01, 1.0))
+        pred = np.round(rng.normal(size=n), 1)
+        assert M.build_portfolio(pred, mode, fraction).tobytes() == portfolio_oracle(pred, mode, fraction).tobytes()
+
+
+def test_backtest_signals_empty_stream_rejected():
+    with pytest.raises(M.InsufficientDataError):
+        M.backtest_signals([], [])
+
+
+def test_backtest_signals_rejects_misshaped_day(rng):
+    batches, signals = shifting_universe(rng, 3)
+    signals[2] = signals[2][:2]
+    with pytest.raises(ValueError, match="day d2"):
+        M.backtest_signals(batches, signals)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, float("nan")])
+def test_portfolio_fraction_outside_unit_interval_rejected(fraction):
+    batches, preds = ledger_batches()
+    with pytest.raises(ValueError, match="fraction"):
+        M.build_portfolio(preds[0], "long_only", fraction)
+    with pytest.raises(ValueError, match="day d1.*fraction"):
+        M.backtest(batches, preds, fraction=fraction)
+    with pytest.raises(ValueError, match="day d1.*fraction"):
+        M.backtest_signals(batches, [np.stack([p, -p]) for p in preds], fraction=fraction)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_portfolio_non_finite_signal_rejected(bad):
+    batches, preds = ledger_batches()
+    preds[2] = preds[2].copy()
+    preds[2][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        M.build_portfolio(preds[2], "long_only")
+    with pytest.raises(ValueError, match="day d3.*non-finite"):
+        M.backtest(batches, preds, mode="long_short")
+    with pytest.raises(ValueError, match="day d3: signal 1 .*non-finite"):
+        M.backtest_signals(batches, [np.stack([np.zeros(len(p)), p]) for p in preds])
+
+
+def test_backtest_repeated_stock_id_rejected():
+    batches, preds = ledger_batches()
+    batches[1].stock_ids = ["A", "B", "A"]
+    with pytest.raises(ValueError, match="day d2.*'A'"):
+        M.backtest(batches, preds)
+    with pytest.raises(ValueError, match="day d2.*'A'"):
+        M.backtest_signals(batches, [p[None] for p in preds])
+
+
 # -- model-based evaluation ----------------------------------------------------------
 
 
@@ -375,6 +506,31 @@ def test_per_expert_single_slot_equals_full_model(rng):
     grid = M.per_expert_report(model, batches)
     full = M.backtest(batches, predictions=[model.predict(b) for b in batches])
     assert np.allclose(grid[0][0].excess_series, full.excess_series, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["long_only", "long_short"])
+def test_per_expert_report_bytes_equal_per_slot_oracle(rng, mode):
+    model = tiny_model(g=2, e=3, k=2)
+    batches = rand_batches(rng)
+    grid = M.per_expert_report(model, batches, mode=mode, fraction=0.2)
+    slots = [model.predict_per_slot(b) for b in batches]
+    for j in range(2):
+        for k in range(3):
+            assert_same_report(grid[j][k], backtest_oracle(batches, [s[:, j, k] for s in slots], mode, 0.2))
+
+
+def test_predict_per_slot_bytes_equal_forward_readout(rng):
+    model = tiny_model(g=2, e=3, k=2)
+    for batch in rand_batches(rng, n_days=3):
+        got = model.predict_per_slot(batch)
+        want = model.forward(batch)[2].readout.data
+        assert got.shape == want.shape == (batch.n_stocks, 2, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_per_expert_report_empty_stream_rejected():
+    with pytest.raises(M.InsufficientDataError):
+        M.per_expert_report(tiny_model(g=2, e=3, k=2), [])
 
 
 def test_evaluate_model_bundles_reports(rng):

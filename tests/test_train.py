@@ -45,22 +45,35 @@ def test_early_stop_returns_best_epoch_params(monkeypatch):
     model = tiny_model()
     train_b, val_b, _ = tiny_streams()
     seq = iter([0.1, 0.9, 0.2, 0.15, 0.12])
-    snapshots = {}
+    validated = []  # one entry per validation call, i.e. per finished epoch
+    snapshots = []  # (epochs validated so far, snapshot)
     real_state = model.state_arrays
 
     def spy_state():
         snap = real_state()
-        snapshots[len(snapshots)] = snap
+        snapshots.append((len(validated), snap))
         return snap
 
-    monkeypatch.setattr(TR, "validation_ic", lambda m, b: next(seq))
+    def fake_validation_ic(m, b):
+        validated.append(len(validated))
+        return next(seq)
+
+    monkeypatch.setattr(model, "state_arrays", spy_state)
+    monkeypatch.setattr(TR, "validation_ic", fake_validation_ic)
     state, _ = TR.train(model, train_b, val_b, TR.TrainConfig(max_epochs=5, patience=3, lr=1e-4),
                         LossWeights())
     assert state.best_epoch == 1
     assert state.epoch == 5
-    # parameters returned are from epoch 1, not the last epoch
-    current = model.state_arrays()
-    assert any(not np.array_equal(state.best_params[k], current[k]) for k in current)
+    # the snapshot taken right after epoch 1's validation set the best IC
+    after_epoch_1 = [snap for n, snap in snapshots if n == 2]
+    assert len(after_epoch_1) == 1
+    want = after_epoch_1[0]
+    assert state.best_params.keys() == want.keys()
+    for k, arr in want.items():
+        got = state.best_params[k]
+        assert got.dtype == arr.dtype and got.shape == arr.shape and got.tobytes() == arr.tobytes(), k
+    # and it is not the last epoch's parameters
+    assert any(not np.array_equal(state.best_params[k], state.params[k]) for k in want)
 
 
 def test_training_deterministic_and_checkpoint_bytes_equal(tmp_path):
