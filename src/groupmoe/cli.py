@@ -58,9 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_cmd.add_argument("--experts", action="store_true",
                                help="also write the per-expert portfolio grid")
 
-    p_gc = sub.add_parser("gradcheck", help="finite-difference validation of every parameter group")
-    common(p_gc)
-    p_gc.add_argument("--corrupt", help=argparse.SUPPRESS)  # test hook: perturb one group's gradient
+    common(sub.add_parser("gradcheck", help="finite-difference validation of every parameter group"))
     return parser
 
 
@@ -224,8 +222,7 @@ def cmd_backtest(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_run_config(args)
-    report = run_gradcheck(seed=cfg.train.seed, weights=cfg.loss,
-                           corrupt=getattr(args, "corrupt", None))
+    report = run_gradcheck(seed=cfg.train.seed, weights=cfg.loss)
     worst_overall = 0.0
     failed = False
     for kind, rows in report.items():

@@ -87,12 +87,12 @@ class ConvEncoder:
             acc = None
             for j in range(kernel):
                 lo = pad - j * dilation
-                tap = T.matmul(xp[:, lo : lo + t_len, :], w[j])
+                tap = T.matmul(T.getitem(xp, np.s_[:, lo : lo + t_len, :]), T.getitem(w, j))
                 acc = tap if acc is None else T.add(acc, tap)
             y = T.relu(T.add(acc, b))
             res = x if down is None else T.matmul(x, down)
             x = T.add(y, res)
-        return self.out(x[:, -1, :])
+        return self.out(T.getitem(x, np.s_[:, -1, :]))
 
 
 class RecurrentEncoder:
@@ -118,17 +118,17 @@ class RecurrentEncoder:
     def __call__(self, windows: Tensor) -> Tensor:
         n, t_len, _ = windows.shape
         h_dim = self.cfg.d_h
-        seq = [windows[:, u, :] for u in range(t_len)]
+        seq = [T.getitem(windows, np.s_[:, u, :]) for u in range(t_len)]
         for wx, wh, b in self.layers:
             h = Tensor(np.zeros((n, h_dim)))
             c = Tensor(np.zeros((n, h_dim)))
             outs = []
             for x_t in seq:
                 gates = T.add(T.add(T.matmul(x_t, wx), T.matmul(h, wh)), b)
-                i_g = T.sigmoid(gates[:, 0:h_dim])
-                f_g = T.sigmoid(gates[:, h_dim : 2 * h_dim])
-                g_g = T.tanh(gates[:, 2 * h_dim : 3 * h_dim])
-                o_g = T.sigmoid(gates[:, 3 * h_dim : 4 * h_dim])
+                i_g = T.sigmoid(T.getitem(gates, np.s_[:, 0:h_dim]))
+                f_g = T.sigmoid(T.getitem(gates, np.s_[:, h_dim : 2 * h_dim]))
+                g_g = T.tanh(T.getitem(gates, np.s_[:, 2 * h_dim : 3 * h_dim]))
+                o_g = T.sigmoid(T.getitem(gates, np.s_[:, 3 * h_dim : 4 * h_dim]))
                 c = T.add(T.mul(f_g, c), T.mul(i_g, g_g))
                 h = T.mul(o_g, T.tanh(c))
                 outs.append(h)
@@ -171,13 +171,13 @@ class AttentionEncoder:
         n, t_len, _ = windows.shape
         if t_len != self.window:
             raise EncoderConfigError(f"batch window {t_len} != configured window {self.window}")
-        x = T.add(self.in_proj(windows), self.pos.reshape(1, t_len, self.cfg.d_h))
+        x = T.add(self.in_proj(windows), T.reshape(self.pos, (1, t_len, self.cfg.d_h)))
         for blk in self.blocks:
             attended, self.last_attention = T.attention(blk["q"](x), blk["k"](x), blk["v"](x), self.cfg.heads)
             x = blk["ln1"](T.add(x, blk["o"](attended)))
             ff = blk["ff2"](T.relu(blk["ff1"](x)))
             x = blk["ln2"](T.add(x, ff))
-        return self.out(x[:, -1, :])
+        return self.out(T.getitem(x, np.s_[:, -1, :]))
 
 
 _KINDS = {"conv": ConvEncoder, "recurrent": RecurrentEncoder, "attention": AttentionEncoder}

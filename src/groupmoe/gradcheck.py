@@ -46,21 +46,15 @@ def _random_batches(rng: np.random.Generator) -> list[DayBatch]:
 
 
 def check_model(model: Forecaster, batches: list[DayBatch], weights: LossWeights,
-                seed: int = 0, corrupt: str | None = None) -> list[GradCheckRow]:
-    """One row per parameter group; ``corrupt`` perturbs that group's
-    analytic gradient (negative-control hook for tests)."""
+                seed: int = 0) -> list[GradCheckRow]:
+    """One row per parameter group."""
 
     def loss_value() -> Tensor:
         return day_loss(model, batches, weights)[0]
 
     model.zero_grad()
     loss_value().backward()
-    grads = {}
-    for name, p in model.named_parameters():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if corrupt is not None and name == corrupt:
-            g = g + 0.1 * (np.abs(g).max() + 1.0)
-        grads[name] = g
+    grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data) for name, p in model.named_parameters()}
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -85,8 +79,7 @@ def check_model(model: Forecaster, batches: list[DayBatch], weights: LossWeights
     return rows
 
 
-def run_gradcheck(seed: int = 0, weights: LossWeights | None = None,
-                  corrupt: str | None = None) -> dict[str, list[GradCheckRow]]:
+def run_gradcheck(seed: int = 0, weights: LossWeights | None = None) -> dict[str, list[GradCheckRow]]:
     """Finite-difference validation for each encoder kind; returns rows per kind."""
     weights = weights or LossWeights()
     report = {}
@@ -94,5 +87,5 @@ def run_gradcheck(seed: int = 0, weights: LossWeights | None = None,
         enc_cfg = EncoderConfig(kind=kind, d_h=D_H, depth=2, heads=4, kernel=3)
         model = Forecaster(enc_cfg, MOE, n_features=N_FEATURES, window=WINDOW, seed=seed)
         batches = _random_batches(np.random.default_rng(seed + 1))
-        report[kind] = check_model(model, batches, weights, seed=seed + 2, corrupt=corrupt)
+        report[kind] = check_model(model, batches, weights, seed=seed + 2)
     return report

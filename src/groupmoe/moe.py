@@ -59,13 +59,6 @@ class RoutingDecision:
     weights: Tensor  # [N, G, E]; exactly k nonzeros per row, summing to 1
 
 
-@dataclass
-class GroupedExpertOutput:
-    raw: Tensor  # [N, G, E, d_e]
-    mixed: Tensor  # [N, G, E, d_e]
-    readout: Tensor  # [N, G, E]
-
-
 def top_k_indices(logits: np.ndarray, k: int) -> np.ndarray:
     """Arg-top-k per row over flattened logits, ties to the lowest index."""
     order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
@@ -123,9 +116,9 @@ class MoEHead:
         selected, weights = route_from_logits(flat, cfg.top_k)
         shape3 = (n, cfg.groups, cfg.experts_per_group)
         return RoutingDecision(
-            logits=flat.reshape(shape3),
+            logits=T.reshape(flat, shape3),
             selected=selected,
-            weights=weights.reshape(shape3),
+            weights=T.reshape(weights, shape3),
         )
 
     # -- experts ------------------------------------------------------------------
@@ -134,7 +127,7 @@ class MoEHead:
         """[N, G, E, d_e]: one independent affine map per slot on the shared state."""
         cfg = self.cfg
         out = T.add(T.matmul(z.z, self.expert_W), self.expert_b)  # [N, G*E*d_e]
-        return out.reshape(z.z.shape[0], cfg.groups, cfg.experts_per_group, cfg.d_e)
+        return T.reshape(out, (z.z.shape[0], cfg.groups, cfg.experts_per_group, cfg.d_e))
 
     def aggregate(self, raw: Tensor) -> Tensor:
         """Mix each group's expert vectors by self-attention; residual added.
@@ -145,17 +138,16 @@ class MoEHead:
         if not self.cfg.inner_attention:
             return raw
         n, g, e, d_e = raw.shape
-        o = T.transpose(raw, (1, 0, 2, 3)).reshape(g, n * e, d_e)
-        q, k, v = (T.matmul(o, w).reshape(g * n, e, d_e) for w in (self.Wq, self.Wk, self.Wv))
+        o = T.reshape(T.transpose(raw, (1, 0, 2, 3)), (g, n * e, d_e))
+        q, k, v = (T.reshape(T.matmul(o, w), (g * n, e, d_e)) for w in (self.Wq, self.Wk, self.Wv))
         mixed, probs = T.attention(q, k, v, self.cfg.agg_heads)
         self.last_attention = probs.reshape(g, n, *probs.shape[1:])
-        return T.add(raw, T.transpose(mixed.reshape(g, n, e, d_e), (1, 0, 2, 3)))
+        return T.add(raw, T.transpose(T.reshape(mixed, (g, n, e, d_e)), (1, 0, 2, 3)))
 
     def readout_slots(self, mixed: Tensor) -> Tensor:
         """Shared scalar readout per slot: [N, G, E, d_e] -> [N, G, E]."""
         n, g, e, d_e = mixed.shape
-        r = self.readout(mixed.reshape(n * g * e, d_e))
-        return r.reshape(n, g, e)
+        return T.reshape(self.readout(T.reshape(mixed, (n * g * e, d_e))), (n, g, e))
 
     @staticmethod
     def combine(weights: Tensor, readout: Tensor) -> Tensor:
@@ -168,16 +160,15 @@ class MoEHead:
             raise T.ShapeError(f"combine: weights {weights.shape} vs readouts {readout.shape}")
         return T.tsum(T.mul(weights, readout), axis=(1, 2))
 
-    def expert_outputs(self, z: HiddenStates) -> GroupedExpertOutput:
-        """Experts, inner-group mixing and readout: every slot, gate aside."""
-        raw = self.run_experts(z)
-        mixed = self.aggregate(raw)
-        return GroupedExpertOutput(raw=raw, mixed=mixed, readout=self.readout_slots(mixed))
+    def expert_outputs(self, z: HiddenStates) -> Tensor:
+        """[N, G, E] readouts of experts, inner-group mixing and readout: every slot, gate aside."""
+        return self.readout_slots(self.aggregate(self.run_experts(z)))
 
-    def __call__(self, z: HiddenStates) -> tuple[Tensor, RoutingDecision, GroupedExpertOutput]:
+    def __call__(self, z: HiddenStates) -> tuple[Tensor, RoutingDecision, Tensor]:
+        """(prediction [N], routing decision, slot readouts [N, G, E])."""
         decision = self.gate_forward(z)
-        grouped = self.expert_outputs(z)
-        return self.combine(decision.weights, grouped.readout), decision, grouped
+        readout = self.expert_outputs(z)
+        return self.combine(decision.weights, readout), decision, readout
 
 
 class Forecaster:
@@ -217,7 +208,7 @@ class Forecaster:
             raise ValueError(f"empty batch for day {batch.day}")
         return HiddenStates(z=self.encoder(Tensor(batch.windows)), day=batch.day)
 
-    def forward(self, batch: DayBatch) -> tuple[Tensor, RoutingDecision, GroupedExpertOutput]:
+    def forward(self, batch: DayBatch) -> tuple[Tensor, RoutingDecision, Tensor]:
         return self.head(self.encode(batch))
 
     def predict(self, batch: DayBatch) -> np.ndarray:
@@ -227,4 +218,4 @@ class Forecaster:
     def predict_per_slot(self, batch: DayBatch) -> np.ndarray:
         """[N, G, E] readouts, each slot's own prediction (per-expert
         analysis); the gate, top-k and combination are not run."""
-        return self.head.expert_outputs(self.encode(batch)).readout.data.copy()
+        return self.head.expert_outputs(self.encode(batch)).data.copy()

@@ -58,5 +58,5 @@ class LayerNorm:
         mu = T.tmean(x, axis=-1, keepdims=True)
         centered = T.sub(x, mu)
         var = T.tmean(T.square(centered), axis=-1, keepdims=True)
-        normed = T.div(centered, T.sqrt(var + self.EPS))
+        normed = T.div(centered, T.sqrt(T.add(var, Tensor(self.EPS))))
         return T.add(T.mul(normed, self.gamma), self.beta)

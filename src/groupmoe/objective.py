@@ -86,7 +86,7 @@ def router_loss(logits_by_day: list[Tensor]) -> Tensor:
     total = None
     for h in logits_by_day:
         n = h.shape[0]
-        flat = h.reshape(n, -1)
+        flat = T.reshape(h, (n, -1))
         centered = T.sub(flat, T.tmean(flat, axis=1, keepdims=True))
         term = T.tsum(T.square(centered))
         total = term if total is None else T.add(total, term)

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Define-by-run: every primitive records its parents and a vector-Jacobian
-closure on the tensor it creates. Creation order is a valid topological
-order, so the backward pass is a single reverse sweep over the recorded
-sequence (the tape). Broadcasting is deliberately restricted to
+Define-by-run: every primitive records, on the tensor it creates, its
+parents and one vector-Jacobian closure that returns the gradient of
+each parent. Creation order is a valid topological order, so the
+backward pass is a single reverse sweep over the recorded sequence (the
+tape). Broadcasting is deliberately restricted to
 scalar-with-anything and trailing-vector bias; every other shape mismatch
 is an error so the gradient rules stay auditable.
 """
@@ -59,20 +60,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus an optional gradient.
 
-    Tensors produced by primitives carry vjp closures back to their
-    parents; leaves created by the user carry none. Data and gradients
-    are values: parameter updates rebind ``.data``, the backward sweep
-    rebinds ``.grad``, and a ``.grad`` may be a read-only view another
-    tensor shares, so nothing writes into either in place.
+    A tensor produced by a primitive is a tape node: it keeps its parents
+    and one vjp closure that maps the output gradient to one gradient per
+    parent, in parent order (``None`` for a parent that needs none).
+    Leaves created by the user have neither. Data and gradients are
+    values: parameter updates rebind ``.data``, the backward sweep rebinds
+    ``.grad``, and a ``.grad`` may be a read-only view another tensor
+    shares, so nothing writes into either in place.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_vjps", "_seq", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._vjps: list = []
+        self._parents: tuple = ()
+        self._vjp = None
         self._seq = next(_SEQ)
         self._backward_done = False
 
@@ -102,21 +106,23 @@ class Tensor:
     # -- graph construction ---------------------------------------------------
 
     @staticmethod
-    def _result(data: np.ndarray, vjps) -> "Tensor":
+    def _result(data: np.ndarray, parents: tuple, vjp) -> "Tensor":
+        """A node over ``parents``; it keeps them and ``vjp`` only if one needs a gradient."""
         out = Tensor(data)
-        live = [(p, fn) for p, fn in vjps if p.requires_grad]
-        if live:
-            out._vjps = live
+        if any(p.requires_grad for p in parents):
+            out._parents, out._vjp = parents, vjp
             out.requires_grad = True
         return out
 
     def backward(self) -> None:
         """Accumulate dL/dx on every reachable tensor, root must be scalar.
 
-        A parent's first contribution becomes its ``.grad`` (copied to C
-        order if it is a strided view); later ones are added out of place.
-        A second call on the same root is rejected; rebuild the graph (or
-        clear gradients and rerun the forward pass) instead of reusing it.
+        Each node's vjp runs once; its gradients go to the parents that
+        require one, in parent order. A parent's first contribution
+        becomes its ``.grad`` (copied to C order if it is a strided view);
+        later ones are added out of place. A second call on the same root
+        is rejected; rebuild the graph (or clear gradients and rerun the
+        forward pass) instead of reusing it.
         """
         if self.data.size != 1:
             raise GraphError(f"backward root must be scalar, got shape {self.shape}")
@@ -127,73 +133,23 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(tape.nodes):
             g = node.grad
-            if g is None:
+            if g is None or node._vjp is None:
                 continue
-            for parent, fn in node._vjps:
-                contrib = fn(g)
+            for parent, contrib in zip(node._parents, node._vjp(g)):
+                if not parent.requires_grad:
+                    continue
                 if parent.grad is None:
                     parent.grad = contrib if contrib.flags.c_contiguous else contrib.copy()
                 else:
                     parent.grad = parent.grad + contrib
 
-    # -- operator sugar -------------------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def __add__(self, other):
-        return add(self, self._coerce(other))
-
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, self._coerce(other))
-
-    def __rsub__(self, other):
-        return sub(self._coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return mul(self._coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(self._coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, self._coerce(other))
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 class ComputationTape:
     """Ordered record of the op nodes reachable from a backward root.
 
-    Nodes are sorted by creation sequence, which is a topological order by
-    construction: a primitive's parents always exist before its output.
+    Only parents that require a gradient are followed. Nodes are sorted by
+    creation sequence, which is a topological order by construction: a
+    primitive's parents always exist before its output.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -210,8 +166,7 @@ class ComputationTape:
                 continue
             seen.add(id(t))
             nodes.append(t)
-            for parent, _ in t._vjps:
-                stack.append(parent)
+            stack.extend(p for p in t._parents if p.requires_grad)
         nodes.sort(key=lambda t: t._seq)
         return cls(nodes)
 
@@ -221,28 +176,20 @@ class ComputationTape:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a.shape, b.shape, "add")
-    return Tensor._result(
-        a.data + b.data,
-        [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))],
-    )
+    return Tensor._result(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a.shape, b.shape, "sub")
-    return Tensor._result(
-        a.data - b.data,
-        [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(-g, b.shape))],
-    )
+    return Tensor._result(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a.shape, b.shape, "mul")
     return Tensor._result(
         a.data * b.data,
-        [
-            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
-        ],
+        (a, b),
+        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
 
 
@@ -250,15 +197,13 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a.shape, b.shape, "div")
     return Tensor._result(
         a.data / b.data,
-        [
-            (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-            (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-        ],
+        (a, b),
+        lambda g: (_unbroadcast(g / b.data, a.shape), _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
     )
 
 
 def neg(a: Tensor) -> Tensor:
-    return Tensor._result(-a.data, [(a, lambda g: -g)])
+    return Tensor._result(-a.data, (a,), lambda g: (-g,))
 
 
 # -- nonlinearities ------------------------------------------------------------
@@ -266,34 +211,34 @@ def neg(a: Tensor) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    return Tensor._result(t, [(a, lambda g: g * (1.0 - t * t))])
+    return Tensor._result(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return Tensor._result(s, [(a, lambda g: g * s * (1.0 - s))])
+    return Tensor._result(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return Tensor._result(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    return Tensor._result(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     r = np.sqrt(a.data)
-    return Tensor._result(r, [(a, lambda g: g * 0.5 / r)])
+    return Tensor._result(r, (a,), lambda g: (g * 0.5 / r,))
 
 
 def square(a: Tensor) -> Tensor:
-    return Tensor._result(a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
+    return Tensor._result(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor); gradient is zero wherever the clamp is active."""
     mask = a.data > floor
-    return Tensor._result(np.where(mask, a.data, floor), [(a, lambda g: g * mask)])
+    return Tensor._result(np.where(mask, a.data, floor), (a,), lambda g: (g * mask,))
 
 
 # -- linear algebra --------------------------------------------------------------
@@ -304,6 +249,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Supported forms: [m,k] @ [k,n]; batched [..., m, k] @ [k, n] (shared
     right weight); [B..., m, k] @ [B..., k, n] with identical batch dims.
+    An operand that needs no gradient gets none computed.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
@@ -312,23 +258,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             raise ShapeError(f"matmul: inner extents disagree for {a.shape} @ {b.shape}")
         k, n = b.shape
 
-        def db(g, a=a):
-            return a.data.reshape(-1, k).T @ g.reshape(-1, n)
+        def vjp(g):
+            return (np.matmul(g, b.data.T) if a.requires_grad else None,
+                    a.data.reshape(-1, k).T @ g.reshape(-1, n) if b.requires_grad else None)
 
-        return Tensor._result(
-            np.matmul(a.data, b.data),
-            [(a, lambda g: np.matmul(g, b.data.T)), (b, db)],
-        )
+        return Tensor._result(np.matmul(a.data, b.data), (a, b), vjp)
     if a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2]:
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner extents disagree for {a.shape} @ {b.shape}")
-        return Tensor._result(
-            np.matmul(a.data, b.data),
-            [
-                (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))),
-                (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)),
-            ],
-        )
+
+        def vjp(g):
+            return (np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None,
+                    np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None)
+
+        return Tensor._result(np.matmul(a.data, b.data), (a, b), vjp)
     raise ShapeError(f"matmul: unsupported operand shapes {a.shape} @ {b.shape}")
 
 
@@ -350,9 +293,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        return np.broadcast_to(g, a.shape)
+        return (np.broadcast_to(g, a.shape),)
 
-    return Tensor._result(a.data.sum(axis=axes or None, keepdims=keepdims), [(a, vjp)])
+    return Tensor._result(a.data.sum(axis=axes or None, keepdims=keepdims), (a,), vjp)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -365,9 +308,9 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        return np.broadcast_to(g, a.shape) / count
+        return (np.broadcast_to(g, a.shape) / count,)
 
-    return Tensor._result(a.data.mean(axis=axes or None, keepdims=keepdims), [(a, vjp)])
+    return Tensor._result(a.data.mean(axis=axes or None, keepdims=keepdims), (a,), vjp)
 
 
 # -- softmax ---------------------------------------------------------------------
@@ -449,9 +392,9 @@ def softmax(a: Tensor) -> Tensor:
         rows = (-1, a.shape[-1])
         out = np.empty_like(s)
         _softmax_vjp_rows(s.reshape(rows), g.reshape(rows), out.reshape(rows))
-        return out
+        return (out,)
 
-    return Tensor._result(s, [(a, vjp)])
+    return Tensor._result(s, (a,), vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -486,53 +429,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     rows = (-1, length)
     _softmax_rows(p.reshape(rows), scale)
 
-    live = tuple(t.requires_grad for t in (q, k, v))
-    memo: list = [None, None]  # the output grad of this sweep, its pending [dq, dk, dv]
-
-    def grads(g):
-        """(dq, dk, dv) for the output gradient g; None for a parent without grad."""
+    def vjp(g):
         d_out = np.ascontiguousarray(split(g))
-        dq = dk = dv = None
-        if live[2]:
-            dv = merged(np.swapaxes(p, -1, -2), d_out)
-        if live[0] or live[1]:
-            ds = np.matmul(d_out, np.swapaxes(vh, -1, -2))
-            del d_out
-            _softmax_vjp_rows(p.reshape(rows), ds.reshape(rows), ds.reshape(rows), scale)
-            if live[0]:
-                dq = merged(ds, kh)
-            if live[1]:
-                dk = np.matmul(np.swapaxes(qh, -1, -2), ds).transpose(0, 3, 1, 2).reshape(n, length, d)
-        return [dq, dk, dv]
+        dv = merged(np.swapaxes(p, -1, -2), d_out)
+        ds = np.matmul(d_out, np.swapaxes(vh, -1, -2))
+        del d_out
+        _softmax_vjp_rows(p.reshape(rows), ds.reshape(rows), ds.reshape(rows), scale)
+        dq = merged(ds, kh)
+        dk = np.matmul(np.swapaxes(qh, -1, -2), ds).transpose(0, 3, 1, 2).reshape(n, length, d)
+        return dq, dk, dv
 
-    def vjp_for(i):
-        def vjp(g):
-            if memo[0] is not g:
-                memo[:] = [g, grads(g)]
-            pending = memo[1]
-            grad, pending[i] = pending[i], None
-            if all(x is None for x in pending):
-                memo[:] = [None, None]
-            return grad
-
-        return vjp
-
-    out = merged(p, vh)
-    return Tensor._result(out, [(t, vjp_for(i)) for i, t in enumerate((q, k, v))]), p
+    return Tensor._result(merged(p, vh), (q, k, v), vjp), p
 
 
 # -- shape manipulation ------------------------------------------------------------
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    return Tensor._result(a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
+    return Tensor._result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     inverse = np.argsort(axes)
-    return Tensor._result(a.data.transpose(axes), [(a, lambda g: g.transpose(inverse))])
+    return Tensor._result(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def getitem(a: Tensor, key) -> Tensor:
@@ -542,28 +463,18 @@ def getitem(a: Tensor, key) -> Tensor:
     def vjp(g):
         z = np.zeros_like(a.data)
         z[key] = g
-        return z
+        return (z,)
 
-    return Tensor._result(np.array(data), [(a, vjp)])
+    return Tensor._result(np.array(data), (a,), vjp)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of zero tensors")
     ax = axis % tensors[0].ndim
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    vjps = []
-    for i, t in enumerate(tensors):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g, lo=lo, hi=hi):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        vjps.append((t, vjp))
-    return Tensor._result(np.concatenate([t.data for t in tensors], axis=ax), vjps)
+    cuts = np.cumsum([t.shape[ax] for t in tensors])[:-1]
+    return Tensor._result(np.concatenate([t.data for t in tensors], axis=ax), tuple(tensors),
+                          lambda g: np.split(g, cuts, axis=ax))
 
 
 # -- gather / scatter (2-D, along axis 1) ----------------------------------------
@@ -577,9 +488,9 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     def vjp(g):
         z = np.zeros_like(a.data)
         np.put_along_axis(z, idx, g, axis=1)
-        return z
+        return (z,)
 
-    return Tensor._result(np.take_along_axis(a.data, idx, axis=1), [(a, vjp)])
+    return Tensor._result(np.take_along_axis(a.data, idx, axis=1), (a,), vjp)
 
 
 def scatter_rows(vals: Tensor, idx: np.ndarray, width: int) -> Tensor:
@@ -591,4 +502,4 @@ def scatter_rows(vals: Tensor, idx: np.ndarray, width: int) -> Tensor:
         raise ShapeError(f"scatter_rows: need matching [N,k] shapes, got {vals.shape}, {idx.shape}")
     out = np.zeros((vals.shape[0], width))
     np.put_along_axis(out, idx, vals.data, axis=1)
-    return Tensor._result(out, [(vals, lambda g: np.take_along_axis(g, idx, axis=1))])
+    return Tensor._result(out, (vals,), lambda g: (np.take_along_axis(g, idx, axis=1),))

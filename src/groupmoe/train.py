@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import EncoderConfig, EncoderConfigError
-from .metrics import daily_ic
+from .metrics import InsufficientDataError, daily_ic
 from .moe import Forecaster, MoEConfig, MoEConfigError
 from .objective import LossBreakdown, LossWeights, expert_loss, router_loss, total_loss
 from .panel import DayBatch, NormStats
@@ -118,7 +118,7 @@ def validation_ic(model: Forecaster, batches: list[DayBatch]) -> float:
         if v is not None:
             vals.append(v)
     if not vals:
-        raise ValueError("validation stream has no day with a defined IC")
+        raise InsufficientDataError("validation stream has no day with a defined IC")
     return float(np.mean(vals))
 
 
@@ -150,6 +150,7 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
     """Train until ``cfg.max_epochs`` epochs are finished or the last
     ``cfg.patience`` epochs did not raise the best validation IC; returns
     the run's state and one history row per epoch trained by this call.
+    Train days with fewer than two stocks define no IC and are skipped.
 
     ``resume`` (from ``load_train_state``) is continued in place: epoch
     numbering, optimizer moments, and the shuffle rng go on from it, and a
@@ -159,8 +160,9 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
     problems = cfg.validate() + weights.validate()
     if problems:
         raise ValueError("; ".join(problems))
+    train_batches = [b for b in train_batches if b.n_stocks >= 2]  # a one-stock day defines no IC
     if not train_batches or not val_batches:
-        raise ValueError("train and validation streams must be nonempty")
+        raise InsufficientDataError("train stream has no day with two or more stocks, or validation stream is empty")
 
     optimizer = Adam(model.named_parameters(), lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])

@@ -9,6 +9,7 @@ import yaml
 from groupmoe import cli
 from groupmoe import metrics as ME
 from groupmoe import panel as P
+from groupmoe import tensor as T
 from groupmoe.config import RunConfig, load_config, save_config
 from groupmoe.train import load_checkpoint
 
@@ -420,6 +421,26 @@ def test_eval_every_day_single_stock_is_data_error(trained, capsys):
     assert "need >= 2 valid days" in capsys.readouterr().err
 
 
+def test_train_skips_single_stock_days(tmp_path):
+    cfg = write_config(tmp_path)
+    assert cli.main(["gen", "--config", str(cfg)]) == 0
+    keep_one_stock(cfg, ["d0010"])  # train days d0008-d0013 keep one stock
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    load_checkpoint(tmp_path / "out" / "checkpoint.npz")
+
+
+@pytest.mark.parametrize("blanked,message", [
+    (range(26), "train stream has no day with two or more stocks"),
+    (range(26, 33), "validation stream has no day with a defined IC"),
+], ids=["train", "validation"])
+def test_train_single_stock_stream_is_data_error(tmp_path, capsys, blanked, message):
+    cfg = write_config(tmp_path)
+    assert cli.main(["gen", "--config", str(cfg)]) == 0
+    keep_one_stock(cfg, [f"d{t:04d}" for t in blanked])  # every day of that period keeps one stock
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_train_truncated_csv_row_is_data_error(tmp_path, capsys):
     data = tmp_path / "cut.csv"
     data.write_text("stock_id,day,price,f_0\ns1,d0000,100.0,0.5\ns1,d0001,101.0")
@@ -449,10 +470,18 @@ def test_gradcheck_passes_and_reports_groups(tmp_path, capsys):
     assert "passed" in out
 
 
-def test_gradcheck_corrupted_gradient_fails(tmp_path, capsys):
+def test_gradcheck_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
+    # negative control: relu with its gradient scaled by 1.5; the recurrent
+    # encoder uses no relu and still passes
+    def bad_relu(a):
+        mask = a.data > 0
+        return T.Tensor._result(np.where(mask, a.data, 0.0), (a,), lambda g: (1.5 * g * mask,))
+
+    monkeypatch.setattr(T, "relu", bad_relu)
     cfg = write_config(tmp_path)
-    assert cli.main(["gradcheck", "--config", str(cfg), "--corrupt", "moe.gate.W"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    assert cli.main(["gradcheck", "--config", str(cfg)]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] conv" in out and "[FAIL] attention" in out and "[ok] recurrent" in out
 
 
 # -- config -----------------------------------------------------------------------------

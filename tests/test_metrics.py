@@ -523,7 +523,7 @@ def test_predict_per_slot_bytes_equal_forward_readout(rng):
     model = tiny_model(g=2, e=3, k=2)
     for batch in rand_batches(rng, n_days=3):
         got = model.predict_per_slot(batch)
-        want = model.forward(batch)[2].readout.data
+        want = model.forward(batch)[2].data
         assert got.shape == want.shape == (batch.n_stocks, 2, 3)
         assert got.tobytes() == want.tobytes()
 

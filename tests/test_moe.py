@@ -218,8 +218,8 @@ def test_aggregate_disabled_is_identity(rng):
 def test_combine_single_selected_expert(rng):
     head, cfg = make_head(g=2, e=2, k=1)
     z = hidden(rng, n=4)
-    y, dec, grouped = head(z)
-    flat_r = grouped.readout.data.reshape(4, -1)
+    y, dec, readout = head(z)
+    flat_r = readout.data.reshape(4, -1)
     for i in range(4):
         slot = dec.selected[i, 0]
         assert abs(y.data[i] - flat_r[i, slot]) < 1e-12
@@ -280,12 +280,14 @@ def make_batch(rng, n=5, window=4, d=3, day="d010"):
 
 def test_forward_shapes_single_stock(rng):
     model = make_model()
-    y, dec, grouped = model.forward(make_batch(rng, n=1))
+    batch = make_batch(rng, n=1)
+    y, dec, readout = model.forward(batch)
     assert y.shape == (1,)
     assert dec.weights.shape == (1, 2, 3)
-    assert grouped.raw.shape == (1, 2, 3, 4)
-    assert grouped.mixed.shape == (1, 2, 3, 4)
-    assert grouped.readout.shape == (1, 2, 3)
+    assert readout.shape == (1, 2, 3)
+    raw = model.head.run_experts(model.encode(batch))
+    assert raw.shape == (1, 2, 3, 4)
+    assert model.head.aggregate(raw).shape == (1, 2, 3, 4)
 
 
 def test_forward_permutation_equivariance(rng):
@@ -307,11 +309,11 @@ def test_isolated_experts_toggle(rng):
     enabled = make_model(seed=3)
     disabled = make_model(seed=3, inner=False)
     batch = make_batch(rng)
-    _, _, g1 = enabled.forward(batch)
-    _, _, g2 = disabled.forward(batch)
-    assert np.array_equal(g2.mixed.data, g2.raw.data)
-    assert np.array_equal(g1.raw.data, g2.raw.data)  # same seed, same experts
-    assert not np.array_equal(g1.mixed.data, g2.mixed.data)
+    raw1, raw2 = (m.head.run_experts(m.encode(batch)) for m in (enabled, disabled))
+    mixed1, mixed2 = enabled.head.aggregate(raw1), disabled.head.aggregate(raw2)
+    assert np.array_equal(mixed2.data, raw2.data)
+    assert np.array_equal(raw1.data, raw2.data)  # same seed, same experts
+    assert not np.array_equal(mixed1.data, mixed2.data)
 
 
 def test_isolated_head_has_no_attention_parameters(rng):
@@ -334,7 +336,7 @@ def test_full_pipeline_gradients(kind, rng):
 
     def loss_fn():
         y, _, _ = model.forward(batch)
-        return T.tmean(T.square(y + T.tanh(y)))
+        return T.tmean(T.square(T.add(y, T.tanh(y))))
 
     loss_fn().backward()
     grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

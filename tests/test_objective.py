@@ -177,7 +177,7 @@ def test_total_gradient_through_both_terms(rng):
 
     def build(x):
         e = O.expert_loss([x], labels)
-        r = O.router_loss([T.square(x).reshape(2, 3)])
+        r = O.router_loss([T.reshape(T.square(x), (2, 3))])
         total, _ = O.total_loss(e, r, O.LossWeights(alpha=0.01, beta=1.0))
         return total
 

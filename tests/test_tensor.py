@@ -130,12 +130,12 @@ def composed_attention(q, k, v, heads):
     n, length, d = q.shape
 
     def split(x):
-        return T.transpose(x.reshape(n, length, heads, d // heads), (0, 2, 1, 3))
+        return T.transpose(T.reshape(x, (n, length, heads, d // heads)), (0, 2, 1, 3))
 
     qh, kh, vh = (split(t) for t in (q, k, v))
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), T.Tensor(1.0 / math.sqrt(d / heads)))
     probs = T.softmax(scores)
-    out = T.transpose(T.matmul(probs, vh), (0, 2, 1, 3)).reshape(n, length, d)
+    out = T.reshape(T.transpose(T.matmul(probs, vh), (0, 2, 1, 3)), (n, length, d))
     return out, probs.data
 
 
@@ -186,8 +186,22 @@ def test_attention_is_one_tape_node(rng):
     q, k, v = (T.Tensor(rng.normal(size=(3, 9, 8)), requires_grad=True) for _ in range(3))
     out, probs = T.attention(q, k, v, 4)
     assert probs.shape == (3, 4, 9, 9)
-    assert [p for p, _ in out._vjps] == [q, k, v]
+    assert out._parents == (q, k, v)
     assert len(T.ComputationTape.trace(T.tsum(out)).nodes) == 5
+
+
+def test_three_parent_vjp_runs_once_per_backward(rng):
+    # the output feeds two consumers, so its gradient is accumulated before
+    # its one closure runs; v needs no gradient and gets none
+    q, k = (T.Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True) for _ in range(2))
+    v = T.Tensor(rng.normal(size=(3, 4, 8)))
+    out, _ = T.attention(q, k, v, 2)
+    calls = []
+    vjp = out._vjp
+    out._vjp = lambda g: calls.append(g) or vjp(g)
+    T.add(T.tsum(out), T.tsum(T.square(out))).backward()
+    assert len(calls) == 1 and calls[0] is out.grad
+    assert q.grad is not None and k.grad is not None and v.grad is None
 
 
 def test_attention_rejects_bad_shapes():
@@ -225,7 +239,7 @@ def test_bias_broadcast_and_grad():
 
 def test_scalar_broadcast():
     x = T.Tensor(np.full((2, 2), 3.0), requires_grad=True)
-    out = T.tsum(x * 2.0 + 1.0)
+    out = T.tsum(T.add(T.mul(x, T.Tensor(2.0)), T.Tensor(1.0)))
     out.backward()
     assert out.item() == 28.0
     assert np.array_equal(x.grad, np.full((2, 2), 2.0))
@@ -243,7 +257,7 @@ def test_backward_sum_of_squares():
 def test_backward_constant_leaf_gets_no_grad():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     c = T.Tensor([5.0, 5.0])
-    T.tsum(x * c).backward()
+    T.tsum(T.mul(x, c)).backward()
     assert c.grad is None
     assert x.grad.tolist() == [5.0, 5.0]
 
@@ -265,17 +279,17 @@ def test_backward_nonscalar_rejected():
 def test_tape_is_topologically_ordered():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     y = T.square(x)
-    z = T.tsum(y * T.tanh(y))
+    z = T.tsum(T.mul(y, T.tanh(y)))
     tape = T.ComputationTape.trace(z)
     pos = {id(t): i for i, t in enumerate(tape.nodes)}
     for node in tape.nodes:
-        for parent, _ in node._vjps:
+        for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
 
 
 def test_grad_accumulates_over_reuse():
     x = T.Tensor([2.0], requires_grad=True)
-    y = x * x + x * 3.0  # x reused three times
+    y = T.add(T.mul(x, x), T.mul(x, T.Tensor(3.0)))  # x reused three times
     T.tsum(y).backward()
     assert x.grad.tolist() == [7.0]  # 2x + 3
 
@@ -313,12 +327,12 @@ def test_backward_order_independent(rng):
     def version1(x):
         u = T.tanh(x)
         v = T.sigmoid(x)
-        return T.tsum(u * v)
+        return T.tsum(T.mul(u, v))
 
     def version2(x):
         v = T.sigmoid(x)
         u = T.tanh(x)
-        return T.tsum(u * v)
+        return T.tsum(T.mul(u, v))
 
     g = []
     for fn in (version1, version2):
@@ -335,20 +349,20 @@ PRIMITIVES = [
     ("add_bias", lambda x: T.tsum(T.add(x, T.Tensor(np.linspace(-1, 1, x.shape[-1]))))),
     ("sub", lambda x: T.tsum(T.sub(x, T.square(x)))),
     ("mul", lambda x: T.tsum(T.mul(x, T.tanh(x)))),
-    ("div", lambda x: T.tsum(T.div(x, T.Tensor(np.full(x.shape, 2.0)) + T.square(x)))),
+    ("div", lambda x: T.tsum(T.div(x, T.add(T.Tensor(np.full(x.shape, 2.0)), T.square(x))))),
     ("tanh", lambda x: T.tsum(T.tanh(x))),
     ("sigmoid", lambda x: T.tsum(T.sigmoid(x))),
-    ("sqrt", lambda x: T.tsum(T.sqrt(T.square(x) + 1.0))),
+    ("sqrt", lambda x: T.tsum(T.sqrt(T.add(T.square(x), T.Tensor(1.0))))),
     ("square", lambda x: T.tsum(T.square(x))),
     ("mean_axis", lambda x: T.tsum(T.square(T.tmean(x, axis=1)))),
-    ("sum_keepdims", lambda x: T.tsum(T.square(x - T.tmean(x, axis=1, keepdims=True)))),
+    ("sum_keepdims", lambda x: T.tsum(T.square(T.sub(x, T.tmean(x, axis=1, keepdims=True))))),
     ("softmax", lambda x: T.tsum(T.square(T.softmax(x)))),
-    ("attention", lambda x: T.tsum(T.square(T.attention(x.reshape(1, 3, 4), T.tanh(x).reshape(1, 3, 4),
-                                                         T.square(x).reshape(1, 3, 4), 2)[0]))),
+    ("attention", lambda x: T.tsum(T.square(T.attention(T.reshape(x, (1, 3, 4)), T.reshape(T.tanh(x), (1, 3, 4)),
+                                                         T.reshape(T.square(x), (1, 3, 4)), 2)[0]))),
     ("matmul", lambda x: T.tsum(T.square(T.matmul(x, T.Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))))),
-    ("reshape_transpose", lambda x: T.tsum(T.square(T.transpose(x.reshape(2, 6))))),
-    ("getitem", lambda x: T.tsum(T.square(x[1:, :2]))),
-    ("concat", lambda x: T.tsum(T.square(T.concat([x[:1], x[1:]], axis=0)))),
+    ("reshape_transpose", lambda x: T.tsum(T.square(T.transpose(T.reshape(x, (2, 6)))))),
+    ("getitem", lambda x: T.tsum(T.square(T.getitem(x, np.s_[1:, :2])))),
+    ("concat", lambda x: T.tsum(T.square(T.concat([T.getitem(x, np.s_[:1]), T.getitem(x, np.s_[1:])], axis=0)))),
     ("clamp_min", lambda x: T.tsum(T.clamp_min(T.square(x), 0.25))),
 ]
 
@@ -362,7 +376,7 @@ def test_primitive_gradients(name, build, rng):
 def test_relu_gradient_off_kink(rng):
     x0 = rng.uniform(-1, 1, (3, 4))
     x0[np.abs(x0) < 1e-3] = 0.5  # stay off the measure-zero kink
-    check_grad(lambda x: T.tsum(T.relu(x) * T.Tensor(np.ones((3, 4)))), x0)
+    check_grad(lambda x: T.tsum(T.mul(T.relu(x), T.Tensor(np.ones((3, 4))))), x0)
 
 
 def test_take_scatter_roundtrip_and_grad(rng):
@@ -391,7 +405,7 @@ def test_composite_gradient(rng):
     def build(x):
         h = T.tanh(T.matmul(x, T.Tensor(w)))
         s = T.softmax(h)
-        m = h - T.tmean(h, axis=1, keepdims=True)
-        return T.tsum(s * m) + T.tmean(T.square(h))
+        m = T.sub(h, T.tmean(h, axis=1, keepdims=True))
+        return T.add(T.tsum(T.mul(s, m)), T.tmean(T.square(h)))
 
     check_grad(build, rng.uniform(-1, 1, (5, 4)))
