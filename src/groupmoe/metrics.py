@@ -142,8 +142,8 @@ def aggregate_ranking(ic_series: list[float | None], rank_ic_series: list[float 
 def _weights(signals: np.ndarray, mode: str, fraction: float, day: str | None) -> np.ndarray:
     """[S, N] positions, row s built from signal s as ``build_portfolio`` says.
 
-    One stable argsort per leg ranks every row at once; a day is named in
-    the errors when ``day`` is given.
+    Each leg is picked for every row at once by ``_top``; a day is named
+    in the errors when ``day`` is given.
     """
     where = "" if day is None else f"day {day}: "
     if mode not in ("long_only", "long_short"):
@@ -157,12 +157,20 @@ def _weights(signals: np.ndarray, mode: str, fraction: float, day: str | None) -
     if not finite.all():
         raise ValueError(f"{where}signal {int(np.argmin(finite))} has a non-finite value")
     n_leg = math.ceil(fraction * n)
-    rows = np.arange(n_signals)[:, None]
     weights = np.zeros((n_signals, n))
-    weights[rows, np.argsort(-signals, axis=1, kind="stable")[:, :n_leg]] += 1.0 / n_leg
+    weights[_top(signals, n_leg)] += 1.0 / n_leg
     if mode == "long_short":
-        weights[rows, np.argsort(signals, axis=1, kind="stable")[:, :n_leg]] -= 1.0 / n_leg
+        weights[_top(-signals, n_leg)] -= 1.0 / n_leg
     return weights
+
+
+def _top(x: np.ndarray, k: int) -> np.ndarray:
+    """[S, N] mask of the k largest entries per row, ties to the lower index:
+    the first k positions of a stable argsort of -x, found by partition."""
+    kth = np.partition(x, x.shape[1] - k, axis=1)[:, -k, None]
+    above = x > kth
+    tied = x == kth
+    return above | (tied & (np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)))
 
 
 def build_portfolio(pred: np.ndarray, mode: str = "long_only", fraction: float = 0.05) -> np.ndarray:

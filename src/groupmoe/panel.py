@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 import math
 from array import array
@@ -261,8 +262,15 @@ def apply_normalization(panel: StockPanel, stats: NormStats) -> StockPanel:
 # -- CSV interchange ------------------------------------------------------------
 #
 # Long format, UTF-8, mandatory header: stock_id,day,price,f_0,...,f_{D-1}.
-# Missing values are empty fields. A sidecar <name>.meta.json records the
-# feature count, day range, and stock count.
+# Missing values are empty fields; a non-finite literal (inf, -inf, nan,
+# or one that overflows, such as 1e999) is refused. A sidecar
+# <name>.meta.json records the feature count, day range, and stock count.
+
+
+# An empty field parses to a NaN with its own payload, which no float
+# literal produces, so a missing value and a "nan" literal stay apart.
+_EMPTY_BITS = np.uint64(0x7FF8_0000_0000_E117)
+_EMPTY = float(_EMPTY_BITS.view(np.float64))
 
 
 def load_csv(path: str | Path) -> StockPanel:
@@ -280,11 +288,14 @@ def load_csv(path: str | Path) -> StockPanel:
             raise PanelError(f"{path}: feature columns must be f_0..f_{{D-1}}, got {feat_cols}")
         d_feat = len(feat_cols)
 
-        # values holds each row's price and features back to back; keys
-        # holds the rows' (stock, day) keys in file order.
+        # values holds each row's price and features back to back, with
+        # _EMPTY for an empty field; keys and lines hold the rows' (stock,
+        # day) keys and line numbers in file order.
         values = array("d")
         keys: dict[tuple[str, str], None] = {}
-        for lineno, row in enumerate(reader, start=2):
+        lines = array("q")
+        for row in reader:
+            lineno = reader.line_num  # the last physical line of the row
             if not row:
                 continue
             if len(row) != 3 + d_feat:
@@ -293,13 +304,14 @@ def load_csv(path: str | Path) -> StockPanel:
             if not stock or not day:
                 raise PanelError(f"{path}:{lineno}: empty stock_id or day")
             try:
-                values.fromlist([float(v) if v != "" else math.nan for v in row[2:]])
+                values.fromlist([float(v) if v != "" else _EMPTY for v in row[2:]])
             except ValueError as e:
                 raise PanelError(f"{path}:{lineno}: {e}") from None
             key = (stock, day)
             if key in keys:
                 raise PanelError(f"{path}:{lineno}: duplicate (stock, day) key {key}")
             keys[key] = None
+            lines.append(lineno)
 
     stocks = sorted({k[0] for k in keys})
     days = sorted({k[1] for k in keys})
@@ -308,10 +320,18 @@ def load_csv(path: str | Path) -> StockPanel:
     si = np.fromiter((s_idx[s] for s, _ in keys), dtype=np.intp, count=len(keys))
     di = np.fromiter((d_idx[d] for _, d in keys), dtype=np.intp, count=len(keys))
     cells = np.frombuffer(values, dtype=np.float64).reshape(len(keys), 1 + d_feat)
+    literal = ~np.isfinite(cells)
+    literal &= cells.view(np.uint64) != _EMPTY_BITS
+    if literal.any():
+        r, c = np.argwhere(literal)[0]
+        raise PanelError(f"{path}:{lines[r]}: column {header[2 + c]} holds the non-finite value {float(cells[r, c])!r};"
+                         " a missing value is an empty field")
     features = np.full((len(stocks), len(days), d_feat), np.nan)
     prices = np.full((len(stocks), len(days)), np.nan)
     prices[si, di] = cells[:, 0]
     features[si, di] = cells[:, 1:]
+    for a in (prices, features):  # the empty fields' NaNs become numpy's own
+        a[np.isnan(a)] = np.nan
     return StockPanel(stocks=stocks, days=days, features=features, prices=prices)
 
 
@@ -320,20 +340,22 @@ def save_csv(panel: StockPanel, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     d_feat = panel.n_features
+    # The bytes of csv.writer's default dialect: ids and days quoted by
+    # csv itself, numbers as repr, a missing value as an empty field.
+    days = [_csv_field(d) for d in panel.days]
+    # A stock-day is written unless its price and every feature are missing.
+    present = ~(np.isnan(panel.prices) & np.isnan(panel.features).all(axis=2))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stock_id", "day", "price"] + [f"f_{i}" for i in range(d_feat)])
-        # A stock-day is written unless its price and every feature are
-        # missing. The csv writer formats a float with repr and writes None
-        # as an empty field.
-        present = ~(np.isnan(panel.prices) & np.isnan(panel.features).all(axis=2))
+        fh.write(",".join(["stock_id", "day", "price"] + [f"f_{i}" for i in range(d_feat)]) + "\r\n")
         for s, stock in enumerate(panel.stocks):
             cols = np.flatnonzero(present[s])
             block = np.concatenate((panel.prices[s, cols, None], panel.features[s, cols]), axis=1, dtype=np.float64)
             cells = block.tolist()
-            for r, c in zip(*np.nonzero(np.isnan(block))):
-                cells[r][c] = None
-            writer.writerows([stock, panel.days[d], *vals] for d, vals in zip(cols.tolist(), cells))
+            rows = [",".join(map(repr, vals)) for vals in cells]
+            for r in np.flatnonzero(np.isnan(block).any(axis=1)).tolist():
+                rows[r] = ",".join("" if math.isnan(v) else repr(v) for v in cells[r])
+            head = _csv_field(stock) + ","
+            fh.write("".join(f"{head}{days[d]},{row}\r\n" for d, row in zip(cols.tolist(), rows)))
     meta = {
         "n_features": d_feat,
         "first_day": panel.days[0],
@@ -341,6 +363,13 @@ def save_csv(panel: StockPanel, path: str | Path) -> None:
         "n_stocks": len(panel.stocks),
     }
     sidecar(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _csv_field(text: str) -> str:
+    """One string field as csv.writer writes it (quoted where it must be)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-3]
 
 
 def sidecar(csv_path: str | Path) -> Path:

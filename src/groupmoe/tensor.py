@@ -315,98 +315,114 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- softmax ---------------------------------------------------------------------
 
-# Rows are processed in blocks of about this many elements (256 KB), so
-# that the column passes of the row helpers stay in cache.
-_BLOCK_ELEMS = 1 << 15
+# Softmax runs keys-major: over the columns of a C-contiguous [keys, rows]
+# array, down its contiguous key rows, in blocks of this many columns so
+# that every pass over a block stays in cache.
+_BLOCK_COLS = 1 << 13
 
 
-def _row_blocks(x: np.ndarray):
-    """Consecutive row blocks (views) of a C-contiguous 2-D array."""
-    step = max(1, _BLOCK_ELEMS // x.shape[1])
-    return (slice(lo, lo + step) for lo in range(0, x.shape[0], step))
+def _col_blocks(x: np.ndarray):
+    """Consecutive column blocks (views) of a 2-D array."""
+    return (x[:, lo : lo + _BLOCK_COLS] for lo in range(0, x.shape[1], _BLOCK_COLS))
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """x.max(axis=-1, keepdims=True) for a 2-D x, by elementwise maxima over its columns."""
-    m = x[:, :1].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(m, x[:, j : j + 1], out=m)
+def _key_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=0) for a 2-D x, by elementwise maxima over its rows."""
+    m = x[0].copy()
+    for row in x[1:]:
+        np.maximum(m, row, out=m)
     return m
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=-1, keepdims=True) for a 2-D x, byte for byte.
+def _key_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) for a 2-D x, byte for byte the row sums numpy takes of x.T.
 
-    Replays numpy's pairwise order over the columns instead of reducing
-    along a narrow innermost axis: below 8 columns a sequential sum from
-    0.0; up to 128, eight strided accumulators combined as a fixed tree,
-    then the leftover columns in sequence, all added to numpy's identity
-    +0.0 (which turns a -0.0 sum into +0.0). Wider rows use numpy itself.
+    Replays numpy's pairwise order down the rows of x, one elementwise add
+    over all columns at a time: below 8 rows a sequential sum from 0.0; up
+    to 128, eight accumulators combined as a fixed tree, then the leftover
+    rows in sequence, all added to numpy's identity +0.0 (which turns a
+    -0.0 sum into +0.0); above 128, the sum of the two halves split at a
+    multiple of 8.
     """
-    n = x.shape[1]
+    n = len(x)
     if n > 128:
-        return x.sum(axis=-1, keepdims=True)
-    col = [x[:, j : j + 1] for j in range(n)]
+        half = n // 2 - n // 2 % 8
+        r = _key_sum(x[:half])
+        r += _key_sum(x[half:])
+        return r
     if n < 8:
-        r, rest = col[0] + 0.0, col[1:]
+        r, rest = x[0] + 0.0, x[1:]
     else:
-        a = col[:8]
-        for i in range(8, n - n % 8, 8):
-            a = [acc + c for acc, c in zip(a, col[i : i + 8])]
-        r, rest = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])), col[n - n % 8 :]
+        a = [x[j] + x[j + 8] if n >= 16 else x[j] for j in range(8)]
+        for i in range(16, n - n % 8, 8):
+            for j in range(8):
+                a[j] += x[i + j]
+        r, rest = (a[0] + a[1]) + (a[2] + a[3]), x[n - n % 8 :]
+        r += (a[4] + a[5]) + (a[6] + a[7])
         r += 0.0
-    for c in rest:
-        r += c
+    for row in rest:
+        r += row
     return r
 
 
-def _softmax_rows(x: np.ndarray, scale=None) -> None:
-    """In place: each row of the C-contiguous 2-D x becomes softmax(scale * row)."""
-    for rows in _row_blocks(x):
-        b = x[rows]
+def _softmax_keys(x: np.ndarray, scale=None) -> None:
+    """In place: each column of the C-contiguous 2-D x becomes softmax(scale * column)."""
+    for b in _col_blocks(x):
         if scale is not None:
             b *= scale
-        b -= _row_max(b)
+        b -= _key_max(b)
         np.exp(b, out=b)
-        b /= _row_sum(b)
+        b /= _key_sum(b)
 
 
-def _softmax_vjp_rows(s: np.ndarray, g: np.ndarray, out: np.ndarray, scale=None) -> None:
-    """out = s * (g - rowsum(g * s)) * scale for softmax rows s; out may be g itself."""
-    for rows in _row_blocks(s):
-        sb, gb, ob = s[rows], g[rows], out[rows]
-        np.subtract(gb, _row_sum(gb * sb), out=ob)
+def _softmax_vjp_keys(s: np.ndarray, g: np.ndarray, out: np.ndarray, scale=None) -> None:
+    """out = s * (g - colsum(g * s)) * scale for softmax columns s; out may be g itself."""
+    for sb, gb, ob in zip(_col_blocks(s), _col_blocks(g), _col_blocks(out)):
+        np.subtract(gb, _key_sum(gb * sb), out=ob)
         ob *= sb
         if scale is not None:
             ob *= scale
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Softmax along the last axis, computed with max-subtraction for stability."""
+    """Softmax along the last axis, computed with max-subtraction for stability.
+
+    The rows are transposed to keys-major for the key-row helpers, and the
+    result and gradient back to a's C-order layout.
+    """
     if a.ndim == 0 or a.shape[-1] == 0:
         raise ShapeError(f"softmax: empty last axis of shape {a.shape}")
-    s = a.data.copy()
-    _softmax_rows(s.reshape(-1, a.shape[-1]))
+    width = a.shape[-1]
+    s = a.data.reshape(-1, width).T.copy()
+    _softmax_keys(s)
 
     def vjp(g):
-        rows = (-1, a.shape[-1])
         out = np.empty_like(s)
-        _softmax_vjp_rows(s.reshape(rows), g.reshape(rows), out.reshape(rows))
-        return (out,)
+        _softmax_vjp_keys(s, g.reshape(-1, width).T, out)
+        return (np.ascontiguousarray(out.T).reshape(a.shape),)
 
-    return Tensor._result(s, (a,), vjp)
+    return Tensor._result(np.ascontiguousarray(s.T).reshape(a.shape), (a,), vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention over already-projected q/k/v.
 
     Inputs are [N, L, d]; returns (out [N, L, d], probs [N, heads, L, L]),
-    the probabilities as a plain array. Scale is 1/sqrt(d/heads). One tape
-    node: the backward is the closed form from the saved probabilities,
-    dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)) * scale,
-    dQ = dS K, dK = dS^T Q, with dS computed once for q and k. It runs the
-    matmuls of the composed split-heads graph on the same operand layouts,
-    so values and gradients match it byte for byte.
+    the probabilities as a plain array, possibly a strided view. Scale is
+    1/sqrt(d/heads). One tape node: the backward is the closed form from
+    the saved probabilities, dV = P^T dO, dP = dO V^T,
+    dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K, dK = dS^T Q, with
+    dS computed once for q and k.
+
+    Scores, probabilities and dS live keys-major, [L, N*heads*L]: the
+    products k q^T and v dO^T write that layout themselves, and the
+    softmax and its vjp run down contiguous key rows. Values and
+    gradients match the composed split-heads graph byte for byte. While
+    a head is wider than 1 and every product sums fewer than 16 terms
+    (1 < d/heads < 16 and L < 16), the score operands are NN and the
+    other products read the keys-major buffers through views; outside
+    that range those layouts change OpenBLAS's summation order, so the
+    products run on the composed graph's own operand layouts instead.
     """
     if not (q.ndim == 3 and q.shape == k.shape == v.shape):
         raise ShapeError(f"attention: need equal [N, L, d] q/k/v, got {q.shape}, {k.shape}, {v.shape}")
@@ -415,9 +431,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     dh = d // heads
     scale = np.asarray(1.0 / math.sqrt(d / heads))
+    views = 1 < dh < 16 and length < 16
 
     def split(x):  # [N, L, d] -> [N, heads, L, dh] view
         return x.reshape(n, length, heads, dh).transpose(0, 2, 1, 3)
+
+    def keys_major(a, b):  # (a @ b)^T per head, written into a fresh [L, N*heads*L] array
+        out = np.empty((length, n * heads * length))
+        np.matmul(a, b, out=out.reshape(length, n, heads, length).transpose(1, 2, 0, 3))
+        return out
+
+    def by_query(x):  # [L, N*heads*L] -> [N, heads, L, L], per (stock, head) the transpose
+        x = x.reshape(length, n, heads, length).transpose(1, 2, 3, 0)
+        return x if views else np.ascontiguousarray(x)
 
     def merged(a, b):  # a @ b, written head by head into a fresh [N, L, d] array
         out = np.empty((n, length, d))
@@ -425,18 +451,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
         return out
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    rows = (-1, length)
-    _softmax_rows(p.reshape(rows), scale)
+    q_t = qh.swapaxes(-1, -2)
+    st = keys_major(kh, np.ascontiguousarray(q_t) if views else q_t)
+    _softmax_keys(st, scale)
+    p = by_query(st)
 
     def vjp(g):
         d_out = np.ascontiguousarray(split(g))
+        d_out_t = d_out.swapaxes(-1, -2)
         dv = merged(np.swapaxes(p, -1, -2), d_out)
-        ds = np.matmul(d_out, np.swapaxes(vh, -1, -2))
-        del d_out
-        _softmax_vjp_rows(p.reshape(rows), ds.reshape(rows), ds.reshape(rows), scale)
+        dst = keys_major(vh, np.ascontiguousarray(d_out_t) if views else d_out_t)
+        del d_out, d_out_t
+        _softmax_vjp_keys(st, dst, dst, scale)
+        ds = by_query(dst)
         dq = merged(ds, kh)
-        dk = np.matmul(np.swapaxes(qh, -1, -2), ds).transpose(0, 3, 1, 2).reshape(n, length, d)
+        dk = np.matmul(q_t, ds).transpose(0, 3, 1, 2).reshape(n, length, d)
         return dq, dk, dv
 
     return Tensor._result(merged(p, vh), (q, k, v), vjp), p
@@ -457,15 +486,18 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    """a[key] for keys that select each element at most once (ints, slices)."""
-    data = a.data[key]
+    """a[key] for keys that select each element at most once (ints, slices).
+
+    A basic slice is a view of a's data, which is safe because data are
+    values that nothing writes into.
+    """
 
     def vjp(g):
         z = np.zeros_like(a.data)
         z[key] = g
         return (z,)
 
-    return Tensor._result(np.array(data), (a,), vjp)
+    return Tensor._result(a.data[key], (a,), vjp)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

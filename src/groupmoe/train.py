@@ -161,8 +161,10 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
     if problems:
         raise ValueError("; ".join(problems))
     train_batches = [b for b in train_batches if b.n_stocks >= 2]  # a one-stock day defines no IC
-    if not train_batches or not val_batches:
-        raise InsufficientDataError("train stream has no day with two or more stocks, or validation stream is empty")
+    if not train_batches:
+        raise InsufficientDataError("train stream has no day with two or more stocks")
+    if not any(b.n_stocks >= 2 for b in val_batches):
+        raise InsufficientDataError("validation stream has no day with a defined IC (none has two or more stocks)")
 
     optimizer = Adam(model.named_parameters(), lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])

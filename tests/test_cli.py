@@ -10,6 +10,7 @@ from groupmoe import cli
 from groupmoe import metrics as ME
 from groupmoe import panel as P
 from groupmoe import tensor as T
+from groupmoe import train as TR
 from groupmoe.config import RunConfig, load_config, save_config
 from groupmoe.train import load_checkpoint
 
@@ -433,12 +434,18 @@ def test_train_skips_single_stock_days(tmp_path):
     (range(26), "train stream has no day with two or more stocks"),
     (range(26, 33), "validation stream has no day with a defined IC"),
 ], ids=["train", "validation"])
-def test_train_single_stock_stream_is_data_error(tmp_path, capsys, blanked, message):
+def test_train_single_stock_stream_is_data_error(tmp_path, capsys, monkeypatch, blanked, message):
     cfg = write_config(tmp_path)
     assert cli.main(["gen", "--config", str(cfg)]) == 0
     keep_one_stock(cfg, [f"d{t:04d}" for t in blanked])  # every day of that period keeps one stock
+    steps, real_step = [], TR.step
+    monkeypatch.setattr(TR, "step", lambda *args: steps.append(args) or real_step(*args))
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+    # refused before the first epoch: no training step ran, no epoch was logged
+    assert steps == []
+    log = tmp_path / "out" / "log.jsonl"
+    assert not log.exists() or log.read_text() == ""
 
 
 def test_train_truncated_csv_row_is_data_error(tmp_path, capsys):
@@ -447,6 +454,22 @@ def test_train_truncated_csv_row_is_data_error(tmp_path, capsys):
     cfg = write_config(tmp_path, data=str(data))
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert f"{data}:3: expected 4 fields, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal,column", [("inf", "f_1"), ("-inf", "price"), ("nan", "f_0"), ("1e999", "f_2")])
+def test_train_non_finite_csv_literal_is_data_error(tmp_path, capsys, literal, column):
+    cfg = write_config(tmp_path)
+    assert cli.main(["gen", "--config", str(cfg)]) == 0
+    data = tmp_path / "out" / "panel.csv"
+    lines = data.read_bytes().decode().split("\r\n")
+    fields = lines[5].split(",")
+    fields[["stock_id", "day", "price", "f_0", "f_1", "f_2"].index(column)] = literal
+    lines[5] = ",".join(fields)
+    data.write_bytes("\r\n".join(lines).encode())
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}:6: column {column} holds the non-finite value" in err
+    assert not (tmp_path / "out" / "log.jsonl").exists()
 
 
 def test_backtest_command(trained, capsys):

@@ -358,6 +358,27 @@ def portfolio_oracle(pred, mode, fraction):
     return weights
 
 
+@pytest.mark.parametrize("mode", ["long_only", "long_short"])
+@pytest.mark.parametrize("fraction", [0.05, 0.1, 0.25, 0.5, 0.9, 1.0])
+def test_weights_bytes_equal_stable_argsort(rng, mode, fraction):
+    # rows of few distinct values (heavy ties), with +0.0 and -0.0 mixed in,
+    # and rows whose leg boundary falls inside a run of exact ties
+    heavy = rng.integers(-2, 3, size=(40, 37)).astype(np.float64)
+    heavy[heavy == 0] = np.where(rng.random(int((heavy == 0).sum())) < 0.5, -0.0, 0.0)
+    n = 20
+    boundary = np.tile(np.arange(n, dtype=np.float64), (8, 1))
+    n_leg = math.ceil(fraction * n)
+    for row in boundary:  # each leg's last value repeated on both sides of its edge
+        high, low = np.sort(row)[::-1][n_leg - 1], np.sort(row)[n_leg - 1]
+        spots = rng.choice(n, size=6, replace=False)
+        row[spots[:3]], row[spots[3:]] = high, low
+        rng.shuffle(row)
+    for signals in (heavy, boundary, rng.normal(size=(5, 801)), np.zeros((3, 7)), rng.normal(size=(2, 1))):
+        got = M._weights(signals, mode, fraction, None)
+        want = np.array([portfolio_oracle(row, mode, fraction) for row in signals])
+        assert got.tobytes() == want.tobytes()
+
+
 def backtest_oracle(batches, predictions, mode, fraction):
     """The per-signal loop backtest used to run: one portfolio per day and a
     dict/set book for turnover. Returns (excess, turnover, ar, ir)."""

@@ -343,6 +343,29 @@ def test_csv_golden_bytes_and_round_trip(tmp_path):
     assert loaded.features.tobytes() == panel.features.tobytes()
 
 
+def test_csv_golden_bytes_quoted_ids_and_days(tmp_path):
+    # ids and days that csv must quote: a quote alone, a comma, a line break
+    panel = P.StockPanel(
+        stocks=['q"', "x\ny"],
+        days=["2024-01-02", "2024-01-03,pm"],
+        features=np.array([[[1.0], [np.nan]], [[-0.5], [2.0]]]),
+        prices=np.array([[10.0, 11.0], [np.nan, 12.5]]),
+    )
+    path = tmp_path / "quoted.csv"
+    P.save_csv(panel, path)
+    assert path.read_bytes() == (
+        "stock_id,day,price,f_0\r\n"
+        '"q""",2024-01-02,10.0,1.0\r\n'
+        '"q""","2024-01-03,pm",11.0,\r\n'
+        '"x\ny",2024-01-02,,-0.5\r\n'
+        '"x\ny","2024-01-03,pm",12.5,2.0\r\n'
+    ).encode()
+    loaded = P.load_csv(path)
+    assert loaded.stocks == panel.stocks and loaded.days == panel.days
+    assert loaded.prices.tobytes() == panel.prices.tobytes()
+    assert loaded.features.tobytes() == panel.features.tobytes()
+
+
 # -- degenerate CSV input -------------------------------------------------------------------
 
 
@@ -352,6 +375,15 @@ def test_csv_truncated_last_row_names_line(tmp_path):
     with pytest.raises(P.PanelError) as e:
         P.load_csv(path)
     assert str(e.value) == f"{path}:4: expected 5 fields, got 3"
+
+
+def test_csv_non_finite_literal_names_physical_line(tmp_path):
+    # the quoted id spans lines 2-3, so the inf sits on line 4
+    path = tmp_path / "inf.csv"
+    path.write_bytes(b'stock_id,day,price,f_0\r\n"a\r\nb",d1,1.0,2.0\r\ns2,d1,1.0,inf\r\n')
+    with pytest.raises(P.PanelError) as e:
+        P.load_csv(path)
+    assert str(e.value) == f"{path}:4: column f_0 holds the non-finite value inf; a missing value is an empty field"
 
 
 def test_csv_empty_stock_id_names_line(tmp_path):

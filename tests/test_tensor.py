@@ -98,13 +98,14 @@ def test_softmax_empty_axis_rejected():
         T.softmax(T.Tensor(np.zeros((3, 0))))
 
 
-@pytest.mark.parametrize("width", range(1, 131))
+@pytest.mark.parametrize("width", [*range(1, 131), 200, 300])
 def test_row_sum_replays_numpy_pairwise_order(width, rng):
     # magnitudes spread over 40 orders, so any change of summation order shows
     x = rng.normal(size=(37, width)) * np.exp(rng.uniform(-46, 46, (37, width)))
     x[0] = -0.0  # numpy's sum of this row is +0.0
-    assert T._row_sum(x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
-    assert T._row_max(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+    keys = np.ascontiguousarray(x.T)  # each row of x is a column here
+    assert T._key_sum(keys).tobytes() == x.sum(axis=-1).tobytes()
+    assert T._key_max(keys).tobytes() == x.max(axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(5,), (4, 8), (3, 5, 9), (5000, 9), (2, 130), (3, 200)])
@@ -148,7 +149,7 @@ def attention_run(fn, arrays, weight, grads=(True, True, True)):
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("length", [1, 3, 9, 17])
+@pytest.mark.parametrize("length", [1, 3, 5, 9, 15, 16, 17])
 def test_attention_matches_composed_graph_bytes(heads, length, rng):
     arrays = [rng.normal(size=(6, length, 8)) for _ in range(3)]
     weight = rng.normal(size=(6, length, 8))
@@ -158,11 +159,24 @@ def test_attention_matches_composed_graph_bytes(heads, length, rng):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("length", [3, 9, 17])
+@pytest.mark.parametrize("d,heads", [(16, 16), (12, 2), (16, 1), (40, 2)])
+def test_attention_matches_composed_graph_head_widths(d, heads, length, rng):
+    # head widths 1, 6, 16 and 20: inside and outside the range where the
+    # products read the keys-major buffers through views
+    arrays = [rng.normal(size=(4, length, d)) for _ in range(3)]
+    weight = rng.normal(size=(4, length, d))
+    got = attention_run(lambda q, k, v: T.attention(q, k, v, heads), arrays, weight)
+    want = attention_run(lambda q, k, v: composed_attention(q, k, v, heads), arrays, weight)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_attention_matches_composed_graph_across_row_blocks(rng):
-    # 400 x 4 heads x 9 rows of 9 scores: several row blocks of the softmax helpers
-    arrays = [rng.normal(size=(400, 9, 16)) * 3.0 for _ in range(3)]
-    weight = rng.normal(size=(400, 9, 16))
-    assert 400 * 4 * 9 > 2 * T._BLOCK_ELEMS // 9
+    # 500 x 4 heads x 9 columns of 9 keys: several column blocks of the softmax helpers
+    arrays = [rng.normal(size=(500, 9, 16)) * 3.0 for _ in range(3)]
+    weight = rng.normal(size=(500, 9, 16))
+    assert 500 * 4 * 9 > 2 * T._BLOCK_COLS
     got = attention_run(lambda q, k, v: T.attention(q, k, v, 4), arrays, weight)
     want = attention_run(lambda q, k, v: composed_attention(q, k, v, 4), arrays, weight)
     for a, b in zip(got, want):
@@ -340,6 +354,20 @@ def test_backward_order_independent(rng):
         fn(leaf).backward()
         g.append(leaf.grad.copy())
     assert np.array_equal(g[0], g[1])
+
+
+def test_getitem_basic_slice_is_a_view_with_the_same_gradient(rng):
+    x0 = rng.normal(size=(4, 5, 3))
+    key = np.s_[:, 1:4, :]
+    x = T.Tensor(x0.copy(), requires_grad=True)
+    y = T.getitem(x, key)
+    assert np.shares_memory(y.data, x.data)
+    assert y.data.tobytes() == x0[key].tobytes()
+    w = rng.normal(size=y.shape)
+    T.tsum(T.mul(y, T.Tensor(w))).backward()
+    want = np.zeros_like(x0)
+    want[key] = w
+    assert x.grad.tobytes() == want.tobytes()
 
 
 # -- finite-difference battery -----------------------------------------------
