@@ -49,11 +49,26 @@ class HiddenStates:
     day: str
 
 
+def _steps(lo: int, count: int, t_len: int):
+    """Key of ``count`` steps two apart from position ``lo`` of a [N, L, C]
+    array. A single step of a longer window is an int index, so that its
+    products are 2-D; a one-step window keeps the full-sequence [N, 1, C]."""
+    if count == 1 and t_len > 1:
+        return np.s_[:, lo, :]
+    return np.s_[:, lo : lo + 2 * count - 1 : 2, :]
+
+
 class ConvEncoder:
     """Causal dilated temporal convolutions with residual connections.
 
     Dilation doubles per layer; the final step's activations feed a linear
-    projection to d_h.
+    projection to d_h. Each layer computes only the steps the layers above
+    read (the receptive-field pruning of Fast WaveNet, Paine et al. 2016,
+    arXiv:1611.09482), with the bytes of the full-sequence forward on days
+    of two or more stocks. A one-stock day's single-row products are
+    matrix-vector products and round differently. From depth 2 on,
+    gradients differ from the full sequence's by rounding: the top step's
+    input gradient is one 2-D product, not per-stock ones.
     """
 
     def __init__(self, cfg: EncoderConfig, n_features: int, window: int, rng: np.random.Generator):
@@ -70,29 +85,54 @@ class ConvEncoder:
             down = None
             if c_in != cfg.d_h:
                 down = self.store.add(f"conv{i}.down", uniform_init(rng, c_in, (c_in, cfg.d_h)))
-            self.layers.append((w, b, down, 2**i))
+            self.layers.append((w, b, down))
             c_in = cfg.d_h
         self.out = Linear(self.store, "out", cfg.d_h, cfg.d_h, rng)
 
     def named_parameters(self):
         return self.store.named_parameters()
 
+    def step_counts(self, t_len: int) -> list[int]:
+        """Steps each layer computes: the ones the layers above read.
+
+        The top layer computes step T-1 only. Layer i (dilation 2**i)
+        reads layer i-1 at t - j*2**i (j < kernel) for each step t it
+        computes, so layer i-1 computes the steps >= 0 of the arithmetic
+        progression that ends at T-1 with step 2**i and covers them.
+        """
+        kernel = self.cfg.kernel
+        counts = [1]
+        for i in range(len(self.layers) - 1, 0, -1):
+            counts.insert(0, min(2 * counts[0] + kernel - 2, (t_len - 1) // 2**i + 1))
+        return counts
+
     def __call__(self, windows: Tensor) -> Tensor:
+        """The top layer's state at step T-1, through a linear projection.
+
+        A layer's input holds the steps spaced by the layer's dilation,
+        ending at T-1 and zero-padded in front where they would fall
+        before step 0. Its taps are then consecutive positions and its
+        outputs every second one, so every operand is a view.
+        """
         n, t_len, _ = windows.shape
         x = windows
-        for w, b, down, dilation in self.layers:
+        for (w, b, down), count in zip(self.layers, self.step_counts(t_len)):
+            if x.ndim == 2:  # the layer below computed step T-1 only: this dilation reaches before step 0
+                x = T.reshape(x, (n, 1, x.shape[1]))
             kernel = w.shape[0]
-            pad = (kernel - 1) * dilation
-            xp = T.concat([Tensor(np.zeros((n, pad, x.shape[2]))), x], axis=1) if pad else x
+            pad = 2 * (count - 1) + kernel - x.shape[1]
+            xp = T.concat([Tensor(np.zeros((n, pad, x.shape[2]))), x], axis=1) if pad > 0 else x
+            first = xp.shape[1] - 2 * count + 1  # position of the earliest computed step
             acc = None
             for j in range(kernel):
-                lo = pad - j * dilation
-                tap = T.matmul(T.getitem(xp, np.s_[:, lo : lo + t_len, :]), T.getitem(w, j))
+                tap = T.matmul(T.getitem(xp, _steps(first - j, count, t_len)), T.getitem(w, j))
                 acc = tap if acc is None else T.add(acc, tap)
             y = T.relu(T.add(acc, b))
-            res = x if down is None else T.matmul(x, down)
-            x = T.add(y, res)
-        return self.out(T.getitem(x, np.s_[:, -1, :]))
+            res = T.getitem(x, _steps(x.shape[1] - 2 * count + 1, count, t_len))
+            x = T.add(y, res if down is None else T.matmul(res, down))
+        if x.ndim == 3:  # a one-step window: [N, 1, d_h]
+            x = T.getitem(x, np.s_[:, 0, :])
+        return self.out(x)
 
 
 class RecurrentEncoder:

@@ -142,7 +142,7 @@ def aggregate_ranking(ic_series: list[float | None], rank_ic_series: list[float 
 def _weights(signals: np.ndarray, mode: str, fraction: float, day: str | None) -> np.ndarray:
     """[S, N] positions, row s built from signal s as ``build_portfolio`` says.
 
-    Each leg is picked for every row at once by ``_top``; a day is named
+    Each leg is picked for every row at once by ``top_k_mask``; a day is named
     in the errors when ``day`` is given.
     """
     where = "" if day is None else f"day {day}: "
@@ -158,19 +158,27 @@ def _weights(signals: np.ndarray, mode: str, fraction: float, day: str | None) -
         raise ValueError(f"{where}signal {int(np.argmin(finite))} has a non-finite value")
     n_leg = math.ceil(fraction * n)
     weights = np.zeros((n_signals, n))
-    weights[_top(signals, n_leg)] += 1.0 / n_leg
+    weights[top_k_mask(signals, n_leg)] += 1.0 / n_leg
     if mode == "long_short":
-        weights[_top(-signals, n_leg)] -= 1.0 / n_leg
+        weights[top_k_mask(-signals, n_leg)] -= 1.0 / n_leg
     return weights
 
 
-def _top(x: np.ndarray, k: int) -> np.ndarray:
-    """[S, N] mask of the k largest entries per row, ties to the lower index:
-    the first k positions of a stable argsort of -x, found by partition."""
-    kth = np.partition(x, x.shape[1] - k, axis=1)[:, -k, None]
+def top_k_mask(x: np.ndarray, k: int) -> np.ndarray:
+    """[S, N] mask of the k largest entries per row: the first k positions
+    of a stable argsort of -x, so ties go to the lower index and NaN ranks
+    last. Found by partition, not by a sort."""
+    kth = -np.partition(-x, k - 1, axis=1)[:, k - 1, None]
     above = x > kth
     tied = x == kth
-    return above | (tied & (np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)))
+    undefined = np.isnan(kth)  # fewer than k numbers in the row: the NaNs are the ties
+    if undefined.any():
+        nan = np.isnan(x)
+        above |= undefined & ~nan
+        tied |= undefined & nan
+    if np.count_nonzero(above) + np.count_nonzero(tied) > k * len(x):  # some row has spare ties
+        tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
+    return above | tied
 
 
 def build_portfolio(pred: np.ndarray, mode: str = "long_only", fraction: float = 0.05) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import HiddenStates, build_encoder
+from .metrics import top_k_mask
 from .nn import Linear, ParamStore, uniform_init
 from .panel import DayBatch
 from .tensor import Tensor
@@ -26,6 +27,10 @@ from .tensor import Tensor
 
 class MoEConfigError(ValueError):
     pass
+
+
+class NumericalError(RuntimeError):
+    """A non-finite loss, gradient or prediction; names the day."""
 
 
 @dataclass
@@ -60,9 +65,9 @@ class RoutingDecision:
 
 
 def top_k_indices(logits: np.ndarray, k: int) -> np.ndarray:
-    """Arg-top-k per row over flattened logits, ties to the lowest index."""
-    order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
-    return np.sort(order, axis=1)
+    """Arg-top-k per row over flattened logits, ties to the lowest index
+    and NaN last; [N, k] indices, ascending per row."""
+    return (np.flatnonzero(top_k_mask(logits, k)) % logits.shape[1]).reshape(-1, k)
 
 
 def route_from_logits(flat: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
@@ -212,10 +217,24 @@ class Forecaster:
         return self.head(self.encode(batch))
 
     def predict(self, batch: DayBatch) -> np.ndarray:
-        y_hat, _, _ = self.forward(batch)
-        return y_hat.data.copy()
+        """[N] predictions; a non-finite one is a NumericalError."""
+        with np.errstate(all="ignore"):  # an overflow shows as the non-finite output
+            y_hat, _, _ = self.forward(batch)
+        return _finite(y_hat.data.copy(), batch, "prediction")
 
     def predict_per_slot(self, batch: DayBatch) -> np.ndarray:
         """[N, G, E] readouts, each slot's own prediction (per-expert
-        analysis); the gate, top-k and combination are not run."""
-        return self.head.expert_outputs(self.encode(batch)).data.copy()
+        analysis); the gate, top-k and combination are not run. A
+        non-finite readout is a NumericalError."""
+        with np.errstate(all="ignore"):
+            readout = self.head.expert_outputs(self.encode(batch))
+        return _finite(readout.data.copy(), batch, "slot readout")
+
+
+def _finite(values: np.ndarray, batch: DayBatch, what: str) -> np.ndarray:
+    """``values`` ([N, ...], row i for the batch's stock i) if all are finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise NumericalError(f"day {batch.day}: {what} for stock {batch.stock_ids[row]} is not finite")
+    return values

@@ -144,7 +144,7 @@ def compute_label(prices: np.ndarray, t: int) -> float | None:
     if math.isnan(p1) or math.isnan(p2):
         return None
     if p1 <= 0:
-        raise PanelError(f"non-positive price {p1} at label base index {t + 1}")
+        raise PanelError(f"non-positive price {p1} at index {t + 1}, the base of the label of index {t}")
     return (p2 - p1) / p1
 
 
@@ -177,7 +177,8 @@ def _day_batch(panel: StockPanel, t: int, window: int, complete: np.ndarray, ord
         keep &= ~(np.isnan(p1) | np.isnan(p2))
         bad = np.flatnonzero(keep & (p1 <= 0))
         if bad.size:
-            raise PanelError(f"non-positive price {p1[bad[0]]} at label base index {t + 1}")
+            raise PanelError(f"non-positive price {p1[bad[0]]} of stock {panel.stocks[order[bad[0]]]}"
+                             f" on day {panel.days[t + 1]} (label of day {panel.days[t]})")
         labels = ((p2[keep] - p1[keep]) / p1[keep]).astype(np.float64, copy=False)
     else:
         keep[:] = False

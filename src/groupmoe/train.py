@@ -22,15 +22,11 @@ import numpy as np
 from . import tensor as T
 from .encoders import EncoderConfig, EncoderConfigError
 from .metrics import InsufficientDataError, daily_ic
-from .moe import Forecaster, MoEConfig, MoEConfigError
+from .moe import Forecaster, MoEConfig, MoEConfigError, NumericalError
 from .objective import LossBreakdown, LossWeights, expert_loss, router_loss, total_loss
 from .panel import DayBatch, NormStats
 
 CHECKPOINT_VERSION = 2
-
-
-class NumericalError(RuntimeError):
-    """Non-finite loss or gradient; aborts training with a diagnostic."""
 
 
 class CheckpointError(ValueError):

@@ -472,6 +472,40 @@ def test_train_non_finite_csv_literal_is_data_error(tmp_path, capsys, literal, c
     assert not (tmp_path / "out" / "log.jsonl").exists()
 
 
+def set_cell(cfg_path, stock, day, column, value):
+    """Write ``value`` into one cell (column "price" or a feature index) of the configured panel."""
+    data = load_config(cfg_path).data
+    panel = P.load_csv(data)
+    s, t = panel.stocks.index(stock), panel.day_index(day)
+    if column == "price":
+        panel.prices[s, t] = value
+    else:
+        panel.features[s, t, column] = value
+    P.save_csv(panel, data)
+
+
+@pytest.mark.parametrize("command", ["eval", "backtest"])
+def test_eval_non_finite_prediction_is_numerical_error(trained, capsys, command):
+    # a finite 1e308 passes load_csv, and the forward overflows on the
+    # test days whose window holds it (d0035-d0038 at window 4)
+    cfg, out = trained
+    set_cell(cfg, "s0003", "d0035", 0, 1e308)
+    assert cli.main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: day d0035: prediction for stock s0003 is not finite" in err
+    assert not (out / "eval_report.json").exists() and not (out / "backtest.json").exists()
+
+
+@pytest.mark.parametrize("price", [0.0, -5.0], ids=["zero", "negative"])
+def test_eval_non_positive_price_names_stock_and_day(trained, capsys, price):
+    # the label of day t divides by the price of day t+1
+    cfg, _ = trained
+    set_cell(cfg, "s0007", "d0036", "price", price)
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"non-positive price {price} of stock s0007 on day d0036 (label of day d0035)" in err
+
+
 def test_backtest_command(trained, capsys):
     cfg, out = trained
     assert cli.main(["backtest", "--config", str(cfg), "--mode", "long_short"]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,90 @@ def test_recurrent_rows_independent(rng):
     keep = [0, 1, 3, 4]
     assert np.array_equal(z2[keep], z[keep])
     assert not np.allclose(z2[2], z[2])
+
+
+# -- the pruned conv encoder against the full-sequence forward ------------------------
+
+
+def full_sequence_conv(enc, windows):
+    """ConvEncoder as it was before pruning: every layer at every step,
+    the readout at the top layer's last step."""
+    n, t_len, _ = windows.shape
+    x = windows
+    for i, (w, b, down) in enumerate(enc.layers):
+        kernel, dilation = w.shape[0], 2**i
+        pad = (kernel - 1) * dilation
+        xp = T.concat([T.Tensor(np.zeros((n, pad, x.shape[2]))), x], axis=1) if pad else x
+        acc = None
+        for j in range(kernel):
+            lo = pad - j * dilation
+            tap = T.matmul(T.getitem(xp, np.s_[:, lo : lo + t_len, :]), T.getitem(w, j))
+            acc = tap if acc is None else T.add(acc, tap)
+        y = T.relu(T.add(acc, b))
+        x = T.add(y, x if down is None else T.matmul(x, down))
+    return enc.out(T.getitem(x, np.s_[:, -1, :]))
+
+
+CONV_GRID = [(depth, kernel, window, n)
+             for depth, kernel, window, n in itertools.product(range(1, 5), range(1, 4), range(1, 8), (1, 50))
+             if kernel <= window]
+
+
+def conv_output_and_grads(enc, forward, windows, g_out):
+    for _, p in enc.named_parameters():
+        p.grad = None
+    z = forward(T.Tensor(windows))
+    T.tsum(T.mul(z, T.Tensor(g_out))).backward()
+    return z.data, {name: p.grad for name, p in enc.named_parameters()}
+
+
+@pytest.mark.parametrize("depth,kernel,window,n", CONV_GRID)
+def test_conv_matches_full_sequence_forward(depth, kernel, window, n):
+    # 40 features and d_h 32: wide enough for the products to take their
+    # blocked BLAS paths; nonzero biases so that no sum starts at zero
+    rng = np.random.default_rng(depth * 1000 + kernel * 100 + window * 10 + n)
+    enc, _ = make_encoder("conv", d=40, window=window, d_h=32, depth=depth, kernel=kernel)
+    for _, p in enc.named_parameters():
+        p.data = p.data + rng.normal(scale=0.1, size=p.data.shape)
+    windows = rng.normal(size=(n, window, 40))
+    g_out = rng.normal(size=(n, 32))
+    z, grads = conv_output_and_grads(enc, enc, windows, g_out)
+    z_full, grads_full = conv_output_and_grads(enc, lambda w: full_sequence_conv(enc, w), windows, g_out)
+    # a single row's products are matrix-vector products, which round unlike
+    # the full sequence's matrix products; so does the 2-D input gradient
+    # g @ W.T of a single top step against the per-stock ones, from depth 2 on
+    for name, got, want in [("z", z, z_full)] + [(name, g, grads_full[name]) for name, g in grads.items()]:
+        if n > 1 and (depth == 1 or name == "z"):
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("depth,kernel,window,counts", [
+    (2, 3, 5, [3, 1]),  # layer 1 (dilation 2) reads layer 0 at steps 4, 2, 0
+    (2, 3, 3, [2, 1]),  # ... at 2, 0 (-2 is padding)
+    (3, 3, 7, [4, 2, 1]),  # layer 2 reads layer 1 at 6, 2; layer 1 reads layer 0 at 6, 4, 2, 0
+    (3, 2, 2, [1, 1, 1]),  # every dilation above 1 reaches before step 0
+    (3, 1, 6, [1, 1, 1]),  # kernel 1: each layer reads only its own step
+])
+def test_conv_step_counts(depth, kernel, window, counts):
+    enc, _ = make_encoder("conv", window=window, depth=depth, kernel=kernel)
+    assert enc.step_counts(window) == counts
+
+
+def test_conv_tap_and_residual_operands_are_views(monkeypatch, rng):
+    enc, _ = make_encoder("conv", d=3, window=5, d_h=8, depth=3)
+    slices, getitem = [], T.getitem
+
+    def spy(a, key):
+        out = getitem(a, key)
+        if a.ndim == 3:
+            slices.append(np.shares_memory(out.data, a.data))
+        return out
+
+    monkeypatch.setattr(T, "getitem", spy)
+    enc(T.Tensor(rand_windows(rng, n=4, window=5, d=3)))
+    assert slices and all(slices)
 
 
 def test_attention_t1_softmax_singleton(rng):

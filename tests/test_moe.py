@@ -106,6 +106,31 @@ def test_routing_ties_across_top_k_boundary():
         assert abs(row.sum() - 1.0) < 1e-15
 
 
+def stable_argsort_top_k(logits, k):
+    return np.sort(np.argsort(-logits, axis=1, kind="stable")[:, :k], axis=1)
+
+
+TIE_LOGITS = {
+    "gaussian": lambda rng, n, m: rng.normal(size=(n, m)),
+    "half-integers": lambda rng, n, m: rng.integers(-3, 4, size=(n, m)) / 2.0,
+    "signed zeros": lambda rng, n, m: rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, m)),
+    "two values": lambda rng, n, m: rng.choice([0.25, 0.5], size=(n, m)),
+    "non-finite": lambda rng, n, m: rng.choice([np.nan, np.inf, -np.inf, 0.0, 1.0], size=(n, m)),
+    "all nan": lambda rng, n, m: np.full((n, m), np.nan),
+}
+
+
+@pytest.mark.parametrize("kind", list(TIE_LOGITS))
+def test_top_k_matches_stable_argsort(kind):
+    # k = 1, k = n_slots and every k between, on heavy ties
+    rng = np.random.default_rng(len(kind))
+    for m in (1, 2, 9, 63):
+        logits = TIE_LOGITS[kind](rng, 40, m)
+        for k in range(1, m + 1):
+            got = M.top_k_indices(logits, k)
+            assert got.tolist() == stable_argsort_top_k(logits, k).tolist(), (m, k)
+
+
 # -- experts ---------------------------------------------------------------------
 
 
@@ -288,6 +313,16 @@ def test_forward_shapes_single_stock(rng):
     raw = model.head.run_experts(model.encode(batch))
     assert raw.shape == (1, 2, 3, 4)
     assert model.head.aggregate(raw).shape == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("method", ["predict", "predict_per_slot"])
+def test_non_finite_forward_is_numerical_error(rng, method):
+    # 1e308 is finite; the forward overflows, under any warning filter
+    model = make_model()
+    batch = make_batch(rng, n=5)
+    batch.windows[3, -1, :] = 1e308
+    with pytest.raises(M.NumericalError, match="day d010: .* for stock s3 is not finite"):
+        getattr(model, method)(batch)
 
 
 def test_forward_permutation_equivariance(rng):

@@ -31,7 +31,7 @@ def test_label_missing_forward_price():
 
 
 def test_label_nonpositive_base_price():
-    with pytest.raises(P.PanelError):
+    with pytest.raises(P.PanelError, match="at index 1, the base of the label of index 0"):
         P.compute_label(np.array([1.0, 0.0, 1.0]), 0)
 
 
@@ -294,7 +294,7 @@ def test_nonpositive_base_price_raises_only_for_kept_stock():
         for call in (lambda: P.slice_day(panel, panel.days[t], window), lambda: P.split(panel, spec, window)):
             with pytest.raises(P.PanelError) as e:
                 call()
-            assert str(e.value) == f"non-positive price {price} at label base index {t + 1}"
+            assert str(e.value) == f"non-positive price {price} of stock s1 on day d011 (label of day d010)"
     # with a hole in its day-t window, stock 1 is dropped from day t before
     # its label is formed, so the bad base price raises nothing
     panel = make_panel(n_stocks=3, n_days=20)

@@ -150,11 +150,40 @@ def test_nonfinite_loss_aborts_with_day():
     model = tiny_model()
     train_b, _, _ = tiny_streams()
     bad = train_b[0]
-    bad.windows[0, 0, 0] = np.inf
+    bad.windows[0, -1, 0] = np.inf  # a step the readout reads
     opt = TR.Adam(model.named_parameters(), lr=1e-3)
     with pytest.raises(TR.NumericalError) as e:
         TR.step(model, [bad], opt, TR.TrainConfig(), LossWeights())
     assert bad.day in str(e.value)
+
+
+def test_nonfinite_gradient_aborts_with_parameter_and_day(monkeypatch):
+    # a finite loss whose backward leaves a NaN in one parameter's gradient
+    model = tiny_model()
+    train_b, _, _ = tiny_streams()
+    name, param = model.named_parameters()[3]
+    backward = T.Tensor.backward
+
+    def poisoned(self, *args, **kwargs):
+        backward(self, *args, **kwargs)
+        param.grad[(0,) * param.grad.ndim] = np.nan
+
+    monkeypatch.setattr(T.Tensor, "backward", poisoned)
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    opt = TR.Adam(model.named_parameters(), lr=1e-3)
+    with pytest.raises(TR.NumericalError, match=rf"non-finite gradient in {name} on day\(s\) \['{train_b[0].day}'\]"):
+        TR.step(model, [train_b[0]], opt, TR.TrainConfig(), LossWeights())
+    assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
+
+
+def test_default_model_step_records_at_most_94_tape_nodes():
+    # the default model on a desk-scale day: 50 stocks, 8 features, window 5
+    model = Forecaster(EncoderConfig(), MoEConfig(), n_features=8, window=5, seed=0)
+    rng = np.random.default_rng(0)
+    batch = P.DayBatch(day="d0", windows=rng.normal(size=(50, 5, 8)), labels=rng.normal(size=50),
+                       stock_ids=[f"s{i:02d}" for i in range(50)])
+    total, _ = TR.day_loss(model, [batch], LossWeights())
+    assert len(T.ComputationTape.trace(total).nodes) <= 94
 
 
 # -- checkpoints -------------------------------------------------------------
