@@ -5,10 +5,12 @@ Per stock: a linear gate maps the encoder state to one logit per
 lowest index) are softmax-normalized and all other weights are exactly
 zero. Every slot applies its own affine expert to the same state; the
 G*E experts form one weight bank applied with a single matmul. Within
-each group the E expert vectors attend to each other (multi-head
-self-attention plus a residual, all groups in one batched call), then a
-shared linear readout turns each slot's vector into a scalar and the
-gate weights combine them into the final prediction.
+each group the expert vectors attend to each other (multi-head
+self-attention plus a residual), then a shared linear readout turns a
+slot's vector into a scalar and the gate weights combine them into the
+final prediction. The forward attends from, and reads out, only the k
+selected slots; the per-slot analysis (``expert_outputs``) runs every
+slot.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import tensor as T
 from .encoders import HiddenStates, build_encoder
 from .metrics import top_k_mask
 from .nn import Linear, ParamStore, uniform_init
-from .panel import DayBatch
+from .panel import DayBatch, PanelError
 from .tensor import Tensor
 
 
@@ -61,7 +63,8 @@ class MoEConfig:
 class RoutingDecision:
     logits: Tensor  # [N, G, E]
     selected: np.ndarray  # [N, k] flat slot indices, ascending
-    weights: Tensor  # [N, G, E]; exactly k nonzeros per row, summing to 1
+    selected_weights: Tensor  # [N, k]; the gate weights of the selected slots, summing to 1
+    weights: Tensor  # [N, G, E]; the same weights in place, exact zeros elsewhere
 
 
 def top_k_indices(logits: np.ndarray, k: int) -> np.ndarray:
@@ -123,6 +126,7 @@ class MoEHead:
         return RoutingDecision(
             logits=T.reshape(flat, shape3),
             selected=selected,
+            selected_weights=T.take_rows(weights, selected),
             weights=T.reshape(weights, shape3),
         )
 
@@ -154,26 +158,30 @@ class MoEHead:
         n, g, e, d_e = mixed.shape
         return T.reshape(self.readout(T.reshape(mixed, (n * g * e, d_e))), (n, g, e))
 
-    @staticmethod
-    def combine(weights: Tensor, readout: Tensor) -> Tensor:
-        """Weighted composite prediction: sum over slots of w * r, per stock.
-
-        Zero-weight slots contribute exactly 0 (their weights are exact
-        zeros from the scatter).
-        """
-        if weights.shape != readout.shape:
-            raise T.ShapeError(f"combine: weights {weights.shape} vs readouts {readout.shape}")
-        return T.tsum(T.mul(weights, readout), axis=(1, 2))
-
     def expert_outputs(self, z: HiddenStates) -> Tensor:
         """[N, G, E] readouts of experts, inner-group mixing and readout: every slot, gate aside."""
         return self.readout_slots(self.aggregate(self.run_experts(z)))
 
     def __call__(self, z: HiddenStates) -> tuple[Tensor, RoutingDecision, Tensor]:
-        """(prediction [N], routing decision, slot readouts [N, G, E])."""
+        """(prediction [N], routing decision, readouts of the selected slots [N, k]).
+
+        Only the k selected slots of each stock attend, over their own
+        group's E expert vectors, and are read out; the other slots enter
+        only as keys and values. In exact arithmetic this is the
+        gate-weighted sum of ``expert_outputs``.
+        """
+        cfg = self.cfg
         decision = self.gate_forward(z)
-        readout = self.expert_outputs(z)
-        return self.combine(decision.weights, readout), decision, readout
+        n, k = decision.selected.shape
+        raw = self.run_experts(z)
+        if cfg.inner_attention:
+            mixed = T.routed_attention(raw, decision.selected, self.Wq, self.Wk, self.Wv, cfg.agg_heads)
+        else:
+            cols = decision.selected[:, :, None] * cfg.d_e + np.arange(cfg.d_e)
+            mixed = T.take_rows(T.reshape(raw, (n, -1)), cols.reshape(n, -1))
+        # one 2-D product, as in readout_slots: a batch of [k, d_e] products sums in another order
+        readout = T.reshape(self.readout(T.reshape(mixed, (n * k, cfg.d_e))), (n, k))
+        return T.tsum(T.mul(decision.selected_weights, readout), axis=1), decision, readout
 
 
 class Forecaster:
@@ -209,8 +217,11 @@ class Forecaster:
             p.data = arr.copy()
 
     def encode(self, batch: DayBatch) -> HiddenStates:
+        """The encoder state of a day; a non-finite window value is a
+        PanelError, also at a step the encoder does not read."""
         if batch.n_stocks == 0:
             raise ValueError(f"empty batch for day {batch.day}")
+        _finite(batch.windows, batch, "window", PanelError)
         return HiddenStates(z=self.encoder(Tensor(batch.windows)), day=batch.day)
 
     def forward(self, batch: DayBatch) -> tuple[Tensor, RoutingDecision, Tensor]:
@@ -231,10 +242,10 @@ class Forecaster:
         return _finite(readout.data.copy(), batch, "slot readout")
 
 
-def _finite(values: np.ndarray, batch: DayBatch, what: str) -> np.ndarray:
+def _finite(values: np.ndarray, batch: DayBatch, what: str, error: type = NumericalError) -> np.ndarray:
     """``values`` ([N, ...], row i for the batch's stock i) if all are finite."""
     finite = np.isfinite(values)
     if not finite.all():
         row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
-        raise NumericalError(f"day {batch.day}: {what} for stock {batch.stock_ids[row]} is not finite")
+        raise error(f"day {batch.day}: {what} for stock {batch.stock_ids[row]} is not finite")
     return values

@@ -240,8 +240,14 @@ def fit_normalization(panel: StockPanel, train_interval: tuple[str, str]) -> Nor
     if not ok.any():
         raise ConfigError("train interval has no fully observed feature rows")
     sample = flat[ok]
-    mean = sample.mean(axis=0)
-    std = sample.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite statistic
+        mean = sample.mean(axis=0)
+        std = sample.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(f"feature f_{i}: train-interval mean {mean[i]} and std {std[i]} are not both finite;"
+                          " its values are too large to normalize")
     std = np.where(std < 1e-12, 1.0, std)
     return NormStats(mean=mean, std=std)
 

@@ -471,6 +471,104 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     return Tensor._result(merged(p, vh), (q, k, v), vjp), p
 
 
+def routed_attention(x: Tensor, rows: np.ndarray, wq: Tensor, wk: Tensor, wv: Tensor, heads: int) -> Tensor:
+    """Inner-group self-attention plus residual, at chosen query vectors only.
+
+    x is [N, G, E, d]: per item, G groups of E vectors. rows is [N, k],
+    flat indices g*E + e, unique per item. Query (i, j) is the vector
+    x[i, g, e]; it attends over the keys and values x[i, g] with group
+    g's projections wq[g], wk[g], wv[g] ([G, d, d]) and heads of width
+    d/heads at scale 1/sqrt(d/heads). Returns [N, k, d], the query plus
+    its attention output: row e of x[i, g] + attention(x[i, g] wq[g],
+    x[i, g] wk[g], x[i, g] wv[g]) in exact arithmetic.
+
+    Nothing is projected densely. Per head h, u_h = wk_h (q wq)_h makes
+    the scores x[i, g] u_h, and the output is (p_h^T x[i, g]) wv_h. The
+    head slices of wk and wv enter as block-diagonal matrices, so that
+    x -> u and the mix -> output are one 2-D product per group, over the
+    queries sorted by group. Scores, probabilities and dS live
+    keys-major, [E, M*heads] with M = N*k, as in ``attention``. One tape
+    node; its vjp returns the gradients of x, wq, wk and wv.
+    """
+    n, g, e, d = x.shape
+    if not (wq.shape == wk.shape == wv.shape == (g, d, d)):
+        raise ShapeError(f"routed_attention: need [{g}, {d}, {d}] projections, got {wq.shape}, {wk.shape}, {wv.shape}")
+    if rows.ndim != 2 or rows.shape[0] != n:
+        raise ShapeError(f"routed_attention: need [{n}, k] query rows, got {rows.shape}")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"routed_attention: width {d} does not split into {heads} heads")
+    k = rows.shape[1]
+    m = n * k
+    scale = np.asarray(1.0 / math.sqrt(d / heads))
+    head_of = np.arange(d) // (d // heads) == np.arange(heads)[:, None]  # [heads, d]: t in head h
+    # b_k[j][t, c*heads + h] = wk[j][c, t] and c_v[j][h*d + c, t] = wv[j][c, t] where t is in head h
+    b_k = (wk.data.transpose(0, 2, 1)[..., None] * head_of.T[None, :, None, :]).reshape(g, d, d * heads)
+    c_v = (wv.data[:, None] * head_of[None, :, None, :]).reshape(g, heads * d, d)
+    qk = np.matmul(wq.data, b_k)  # [G, d, d*heads]: x -> u
+
+    group = rows.reshape(-1) // e
+    order = np.argsort(group, kind="stable")  # by (group, item); an item's block stays contiguous
+    bounds = np.searchsorted(group[order], np.arange(g + 1))
+    segs = [(j, slice(lo, hi)) for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if lo < hi]
+    item = order // k
+    block = item * g + group[order]  # into x as [N*G, E, d]
+    query = item * (g * e) + rows.reshape(-1)[order]  # into x as [N*G*E, d]
+    xq = np.take(x.data.reshape(n * g * e, d), query, axis=0)  # [M, d]
+    o = np.take(x.data.reshape(n * g, e * d), block, axis=0).reshape(m, e, d)  # [M, E, d]
+
+    def keys_major(a, b):  # a @ b for [M, E, *] @ [M, *, heads], written into a fresh [E, M*heads] array
+        out = np.empty((e, m * heads))
+        np.matmul(a, b, out=out.reshape(e, m, heads).transpose(1, 0, 2))
+        return out
+
+    def by_query(s):  # [E, M*heads] -> [M, E, heads] view
+        return s.reshape(e, m, heads).transpose(1, 0, 2)
+
+    u = np.empty((m, d * heads))
+    for j, s in segs:
+        np.matmul(xq[s], qk[j], out=u[s])
+    u = u.reshape(m, d, heads)
+    st = keys_major(o, u)
+    _softmax_keys(st, scale)
+    mixed = np.matmul(by_query(st).transpose(0, 2, 1), o).reshape(m, heads * d)
+    out = xq.copy()
+    for j, s in segs:
+        out[s] += mixed[s] @ c_v[j]
+    y = np.empty((m, d))
+    y[order] = out
+
+    def vjp(gy):
+        gs = gy.reshape(m, d)[order]
+        dxq = gs.copy()
+        d_mixed = np.empty((m, heads * d))
+        d_cv = np.zeros((g, heads * d, d))
+        for j, s in segs:
+            np.matmul(gs[s], c_v[j].T, out=d_mixed[s])
+            d_cv[j] = mixed[s].T @ gs[s]
+        d_mixed = d_mixed.reshape(m, heads, d)
+        do = np.matmul(by_query(st), d_mixed)
+        dst = keys_major(o, d_mixed.transpose(0, 2, 1))
+        _softmax_vjp_keys(st, dst, dst, scale)
+        ds = by_query(dst)
+        do += np.matmul(ds, u.transpose(0, 2, 1))
+        du = np.matmul(o.transpose(0, 2, 1), ds).reshape(m, d * heads)
+        d_qk = np.zeros((g, d, d * heads))
+        for j, s in segs:
+            dxq[s] += du[s] @ qk[j].T
+            d_qk[j] = xq[s].T @ du[s]
+        d_bk = np.matmul(wq.data.transpose(0, 2, 1), d_qk).reshape(g, d, d, heads)
+        dwk = (d_bk * head_of.T[None, :, None, :]).sum(axis=3).transpose(0, 2, 1)
+        dwv = (d_cv.reshape(g, heads, d, d) * head_of[None, :, None, :]).sum(axis=1)
+        dx = np.zeros((n * g, e, d))
+        first = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])  # an item's queries in a group are adjacent
+        dx[block[first]] = np.add.reduceat(do, first, axis=0)
+        dx = dx.reshape(n * g * e, d)
+        dx[query] += dxq
+        return dx.reshape(x.shape), np.matmul(d_qk, b_k.transpose(0, 2, 1)), dwk, dwv
+
+    return Tensor._result(y.reshape(n, k, d), (x, wq, wk, wv), vjp)
+
+
 # -- shape manipulation ------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ IC so far are retained and written as the final checkpoint.
 from __future__ import annotations
 
 import json
+import math
 import time
 import types
 import zipfile
@@ -372,8 +373,10 @@ def load_checkpoint(path: str | Path) -> tuple[Forecaster, dict]:
     if norm is not None:
         for key in ("mean", "std"):
             stats = norm.get(key)
-            if not (isinstance(stats, list) and len(stats) == n_features and all(_is_a(v, float) for v in stats)):
-                raise CheckpointError(f"{path}: metadata 'normalization.{key}' must be a list of {n_features} numbers")
+            if not (isinstance(stats, list) and len(stats) == n_features
+                    and all(_is_a(v, float) and math.isfinite(v) for v in stats)):
+                raise CheckpointError(
+                    f"{path}: metadata 'normalization.{key}' must be a list of {n_features} finite numbers")
     try:
         model = Forecaster(enc_cfg, moe_cfg, n_features=n_features, window=window, seed=0)
     except (EncoderConfigError, MoEConfigError) as e:

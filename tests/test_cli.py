@@ -387,6 +387,15 @@ def test_eval_checkpoint_string_n_features_is_data_error(trained, capsys):
     assert "checkpoint.npz" in err and "'n_features'" in err and "int" in err
 
 
+def test_eval_checkpoint_infinite_normalization_is_data_error(trained, capsys):
+    cfg, out = trained
+    rewrite_meta(out / "checkpoint.npz", lambda m: m["normalization"]["std"].__setitem__(1, float("inf")))
+    assert b"Infinity" in (out / "checkpoint.npz").read_bytes()
+    assert cli.main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.npz" in err and "'normalization.std'" in err and "finite" in err
+
+
 def test_train_resume_without_optimizer_t_is_data_error(trained, capsys):
     cfg, out = trained
     rewrite_meta(out / "train_state.npz", lambda m: m.pop("optimizer_t"))
@@ -482,6 +491,17 @@ def set_cell(cfg_path, stock, day, column, value):
     else:
         panel.features[s, t, column] = value
     P.save_csv(panel, data)
+
+
+def test_train_overflowing_train_feature_is_config_error(tmp_path, capsys):
+    # 1e308 passes load_csv; the train-period variance of f_1 overflows
+    cfg = write_config(tmp_path)
+    assert cli.main(["gen", "--config", str(cfg)]) == 0
+    set_cell(cfg, "s0003", "d0005", 1, 1e308)
+    assert cli.main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "feature f_1" in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out" / "checkpoint.npz").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "backtest"])

@@ -12,6 +12,8 @@ from groupmoe.encoders import EncoderConfig
 from groupmoe.moe import Forecaster, MoEConfig
 from groupmoe.panel import DayBatch
 
+from test_moe import dense_forward
+
 
 def pearson_oracle(a, b):
     # textbook population formula, written out
@@ -541,12 +543,17 @@ def test_per_expert_report_bytes_equal_per_slot_oracle(rng, mode):
 
 
 def test_predict_per_slot_bytes_equal_forward_readout(rng):
+    # every slot, byte for byte the dense oracle's readouts; the forward
+    # reads out only the selected slots, equal up to rounding
     model = tiny_model(g=2, e=3, k=2)
     for batch in rand_batches(rng, n_days=3):
         got = model.predict_per_slot(batch)
-        want = model.forward(batch)[2].data
+        want = dense_forward(model.head, model.encode(batch))[1].data
         assert got.shape == want.shape == (batch.n_stocks, 2, 3)
         assert got.tobytes() == want.tobytes()
+        _, decision, routed = model.forward(batch)
+        picked = np.take_along_axis(got.reshape(batch.n_stocks, -1), decision.selected, axis=1)
+        assert np.abs(routed.data - picked).max() <= 1e-15 * np.abs(got).max()
 
 
 def test_per_expert_report_empty_stream_rejected():

@@ -8,7 +8,7 @@ from groupmoe import tensor as T
 from groupmoe import train as TR
 from groupmoe.encoders import EncoderConfig, HiddenStates
 from groupmoe.objective import LossWeights
-from groupmoe.panel import DayBatch
+from groupmoe.panel import DayBatch, PanelError
 
 from conftest import finite_diff_grad, rel_err
 
@@ -237,55 +237,124 @@ def test_aggregate_disabled_is_identity(rng):
     assert np.array_equal(mixed.data, raw.data)
 
 
-# -- combine -----------------------------------------------------------------------
+# -- the routed forward ------------------------------------------------------------
+
+
+def dense_forward(head, z):
+    """Oracle: every slot attends and is read out, then the gate weights
+    [N, G, E], exact zeros off the top k, combine all G*E readouts.
+    Returns (prediction [N], slot readouts [N, G, E])."""
+    weights = head.gate_forward(z).weights
+    readout = head.readout_slots(head.aggregate(head.run_experts(z)))
+    return T.tsum(T.mul(weights, readout), axis=(1, 2)), readout
+
+
+def head_grads(head, y, upstream):
+    """Gradients of sum(upstream * y) for every head parameter."""
+    head_params = head.named_parameters()
+    for _, p in head_params:
+        p.grad = None
+    T.tsum(T.mul(y, T.Tensor(upstream))).backward()
+    return {name: p.grad.copy() for name, p in head_params}
+
+
+ROUTED_SHAPES = [(1, 1), (2, 3), (3, 3), (7, 9)]
+
+
+@pytest.mark.parametrize("inner", [True, False], ids=["attention", "isolated"])
+@pytest.mark.parametrize("tied", [False, True], ids=["logits", "tied"])
+@pytest.mark.parametrize("g,e", ROUTED_SHAPES, ids=[f"{g}x{e}" for g, e in ROUTED_SHAPES])
+def test_routed_forward_matches_dense_oracle(g, e, tied, inner, rng):
+    # Reassociation moves the rounding only. A prediction is a convex
+    # combination of slot readouts and can cancel far below them, so its
+    # scale is the largest |readout|. The gate's gradient, z^T (w * c *
+    # (r - y)), cancels where a stock's selected readouts agree; its scale
+    # is the same product without the cancellation. Every other gradient
+    # is held to its tensor's largest entry.
+    for k in sorted({1, min(2, g * e), g * e}):
+        for n in (1, 2, 50):
+            head, _ = make_head(g=g, e=e, k=k, inner=inner, seed=int(rng.integers(1 << 30)))
+            if tied:
+                head.gate.W.data = np.zeros_like(head.gate.W.data)  # every logit ties: the lowest k slots
+            z = hidden(rng, n=n)
+            upstream = rng.uniform(0.5, 1.5, size=n)
+            y, decision, readout = head(z)
+            y_dense, r_dense = dense_forward(head, z)
+            assert readout.shape == (n, k)
+            scale = np.abs(r_dense.data).max()
+            assert np.abs(y.data - y_dense.data).max() <= 1e-15 * scale, (k, n)
+            picked = np.take_along_axis(r_dense.data.reshape(n, -1), decision.selected, axis=1)
+            assert np.abs(readout.data - picked).max() <= 1e-15 * scale, (k, n)
+
+            got, want = head_grads(head, y, upstream), head_grads(head, y_dense, upstream)
+            terms = decision.weights.data.reshape(n, -1) * upstream[:, None] * scale
+            gate_scale = {"moe.gate.W": (np.abs(z.z.data).T @ terms).max(), "moe.gate.b": terms.sum(axis=0).max()}
+            for name, grad in want.items():
+                tol = 4e-15 * gate_scale.get(name, np.abs(grad).max())
+                assert np.abs(got[name] - grad).max() <= tol, (k, n, name)
 
 
 def test_combine_single_selected_expert(rng):
     head, cfg = make_head(g=2, e=2, k=1)
     z = hidden(rng, n=4)
     y, dec, readout = head(z)
-    flat_r = readout.data.reshape(4, -1)
+    assert readout.shape == (4, 1)
+    assert y.data.tobytes() == readout.data[:, 0].tobytes()  # weight exactly 1
+    _, r_dense = dense_forward(head, z)
+    flat_r = r_dense.data.reshape(4, -1)
     for i in range(4):
-        slot = dec.selected[i, 0]
-        assert abs(y.data[i] - flat_r[i, slot]) < 1e-12
+        assert abs(y.data[i] - flat_r[i, dec.selected[i, 0]]) < 1e-12
 
 
 def test_combine_constant_readouts(rng):
     head, cfg = make_head()
-    w = head.gate_forward(hidden(rng, n=3)).weights
-    r = T.Tensor(np.full((3, 2, 3), 1.7))
-    y = M.MoEHead.combine(w, r)
+    head.readout.W.data = np.zeros_like(head.readout.W.data)
+    head.readout.b.data = np.array([1.7])  # every slot reads 1.7
+    y, _, readout = head(hidden(rng, n=3))
+    assert np.all(readout.data == 1.7)
     assert np.allclose(y.data, 1.7, atol=1e-12)
 
 
 def test_combine_double_loop_oracle(rng):
     head, cfg = make_head()
-    w = head.gate_forward(hidden(rng, n=4)).weights
-    r = T.Tensor(rng.normal(size=(4, 2, 3)))
-    y = M.MoEHead.combine(w, r).data
+    z = hidden(rng, n=4)
+    y = head(z)[0].data
+    w = head.gate_forward(z).weights.data
+    r = dense_forward(head, z)[1].data
     for i in range(4):
         acc = 0.0
         for j in range(2):
             for k in range(3):
-                acc += w.data[i, j, k] * r.data[i, j, k]
+                acc += w[i, j, k] * r[i, j, k]
         assert abs(y[i] - acc) < 1e-12
 
 
 def test_combine_linear_in_readouts(rng):
+    # a readout is affine in (W, b) and the prediction linear in the readouts
     head, cfg = make_head()
-    w = head.gate_forward(hidden(rng, n=3)).weights
-    r1 = rng.normal(size=(3, 2, 3))
-    r2 = rng.normal(size=(3, 2, 3))
+    z = hidden(rng, n=3)
+    (w1, b1), (w2, b2) = ((rng.normal(size=(4, 1)), rng.normal(size=1)) for _ in range(2))
     a, b = 0.7, -2.1
-    lhs = M.MoEHead.combine(w, T.Tensor(a * r1 + b * r2)).data
-    rhs = a * M.MoEHead.combine(w, T.Tensor(r1)).data + b * M.MoEHead.combine(w, T.Tensor(r2)).data
+
+    def predict(w, bias):
+        head.readout.W.data, head.readout.b.data = w, bias
+        return head(z)[0].data
+
+    lhs = predict(a * w1 + b * w2, a * b1 + b * b2)
+    rhs = a * predict(w1, b1) + b * predict(w2, b2)
     assert rel_err(lhs, rhs) < 1e-10
 
 
 def test_combine_shape_mismatch():
     head, _ = make_head()
+    x = T.Tensor(np.zeros((2, 2, 3, 4)))
+    w = (head.Wq, head.Wk, head.Wv)
     with pytest.raises(T.ShapeError):
-        M.MoEHead.combine(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros((2, 3, 2))))
+        T.routed_attention(x, np.zeros((3, 2), dtype=int), *w, 2)  # rows for 3 stocks, vectors for 2
+    with pytest.raises(T.ShapeError):
+        T.routed_attention(T.Tensor(np.zeros((2, 3, 2, 4))), np.zeros((2, 2), dtype=int), *w, 2)
+    with pytest.raises(T.ShapeError):
+        T.routed_attention(x, np.zeros((2, 2), dtype=int), *w, 3)
 
 
 # -- full forward ---------------------------------------------------------------------
@@ -309,10 +378,11 @@ def test_forward_shapes_single_stock(rng):
     y, dec, readout = model.forward(batch)
     assert y.shape == (1,)
     assert dec.weights.shape == (1, 2, 3)
-    assert readout.shape == (1, 2, 3)
+    assert dec.selected.shape == dec.selected_weights.shape == readout.shape == (1, 2)
     raw = model.head.run_experts(model.encode(batch))
     assert raw.shape == (1, 2, 3, 4)
     assert model.head.aggregate(raw).shape == (1, 2, 3, 4)
+    assert model.head.expert_outputs(model.encode(batch)).shape == (1, 2, 3)
 
 
 @pytest.mark.parametrize("method", ["predict", "predict_per_slot"])
@@ -322,6 +392,18 @@ def test_non_finite_forward_is_numerical_error(rng, method):
     batch = make_batch(rng, n=5)
     batch.windows[3, -1, :] = 1e308
     with pytest.raises(M.NumericalError, match="day d010: .* for stock s3 is not finite"):
+        getattr(model, method)(batch)
+
+
+@pytest.mark.parametrize("method", ["predict", "predict_per_slot", "forward"])
+def test_non_finite_window_is_panel_error(rng, method):
+    # depth 1, kernel 2, window 4: the readout reads steps 2 and 3 only,
+    # so an inf at step 0 would never reach the prediction
+    model = make_model()
+    batch = make_batch(rng, n=5)
+    batch.windows[3, 0, 1] = np.inf
+    batch.windows[4, 0, 0] = np.nan
+    with pytest.raises(PanelError, match="day d010: window for stock s3 is not finite"):
         getattr(model, method)(batch)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,23 @@ def test_normalization_train_only_stats():
     z = normed.features[:, :20, :].reshape(-1, 2)
     assert np.allclose(z.mean(axis=0), 0, atol=1e-12)
     assert np.allclose(z.std(axis=0), 1, atol=1e-12)
+
+
+def test_normalization_refuses_overflowing_feature_without_warning():
+    # 1e308 is finite, but its variance overflows
+    panel = make_panel(n_stocks=4, n_days=30, seed=5)
+    panel.features[2, 3, 1] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(P.ConfigError, match="feature f_1: .* not both finite"):
+            P.fit_normalization(panel, (panel.days[0], panel.days[20]))
+
+
+def test_normalization_constant_feature_keeps_unit_std():
+    panel = make_panel(n_stocks=4, n_days=30, seed=5)
+    panel.features[:, :, 0] = 3.0
+    stats = P.fit_normalization(panel, (panel.days[0], panel.days[20]))
+    assert stats.std[0] == 1.0 and stats.mean[0] == 3.0
 
 
 def test_normalization_feature_count_guard():

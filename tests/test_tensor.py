@@ -373,6 +373,7 @@ def test_getitem_basic_slice_is_a_view_with_the_same_gradient(rng):
 # -- finite-difference battery -----------------------------------------------
 
 
+ROUTED_W = [T.Tensor(np.linspace(-1, 1, 16).reshape(1, 4, 4) * s) for s in (0.9, -1.3, 0.7)]
 PRIMITIVES = [
     ("add_bias", lambda x: T.tsum(T.add(x, T.Tensor(np.linspace(-1, 1, x.shape[-1]))))),
     ("sub", lambda x: T.tsum(T.sub(x, T.square(x)))),
@@ -387,6 +388,8 @@ PRIMITIVES = [
     ("softmax", lambda x: T.tsum(T.square(T.softmax(x)))),
     ("attention", lambda x: T.tsum(T.square(T.attention(T.reshape(x, (1, 3, 4)), T.reshape(T.tanh(x), (1, 3, 4)),
                                                          T.reshape(T.square(x), (1, 3, 4)), 2)[0]))),
+    ("routed_attention", lambda x: T.tsum(T.square(T.routed_attention(
+        T.reshape(x, (1, 1, 3, 4)), np.array([[2, 0]]), *ROUTED_W, 2)))),
     ("matmul", lambda x: T.tsum(T.square(T.matmul(x, T.Tensor(np.linspace(-1, 1, 12).reshape(4, 3)))))),
     ("reshape_transpose", lambda x: T.tsum(T.square(T.transpose(T.reshape(x, (2, 6)))))),
     ("getitem", lambda x: T.tsum(T.square(T.getitem(x, np.s_[1:, :2])))),
@@ -399,6 +402,21 @@ PRIMITIVES = [
 def test_primitive_gradients(name, build, rng):
     x0 = rng.uniform(-1, 1, (3, 4))
     check_grad(build, x0, tol=1e-4)
+
+
+@pytest.mark.parametrize("operand", ["x", "wq", "wk", "wv"])
+def test_routed_attention_gradients(operand, rng):
+    # two items, two groups of three; queries unsorted, several per group block
+    arrays = {"x": rng.normal(size=(2, 2, 3, 4)), **{w: rng.normal(size=(2, 4, 4)) for w in ("wq", "wk", "wv")}}
+    rows = np.array([[5, 0, 3], [1, 2, 4]])
+    weight = T.Tensor(rng.normal(size=(2, 3, 4)))
+
+    def build(leaf):
+        args = {name: leaf if name == operand else T.Tensor(a) for name, a in arrays.items()}
+        y = T.routed_attention(args["x"], rows, args["wq"], args["wk"], args["wv"], 2)
+        return T.tsum(T.mul(weight, T.tanh(y)))
+
+    check_grad(build, arrays[operand])
 
 
 def test_relu_gradient_off_kink(rng):

@@ -146,11 +146,12 @@ def test_gradient_coverage_all_parameters(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_nonfinite_loss_aborts_with_day():
     model = tiny_model()
     train_b, _, _ = tiny_streams()
     bad = train_b[0]
-    bad.windows[0, -1, 0] = np.inf  # a step the readout reads
+    bad.windows[0, -1, 0] = 1e308  # finite, at a step the readout reads; the forward overflows
     opt = TR.Adam(model.named_parameters(), lr=1e-3)
     with pytest.raises(TR.NumericalError) as e:
         TR.step(model, [bad], opt, TR.TrainConfig(), LossWeights())
@@ -176,14 +177,14 @@ def test_nonfinite_gradient_aborts_with_parameter_and_day(monkeypatch):
     assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
 
 
-def test_default_model_step_records_at_most_94_tape_nodes():
+def test_default_model_step_records_at_most_82_tape_nodes():
     # the default model on a desk-scale day: 50 stocks, 8 features, window 5
     model = Forecaster(EncoderConfig(), MoEConfig(), n_features=8, window=5, seed=0)
     rng = np.random.default_rng(0)
     batch = P.DayBatch(day="d0", windows=rng.normal(size=(50, 5, 8)), labels=rng.normal(size=50),
                        stock_ids=[f"s{i:02d}" for i in range(50)])
     total, _ = TR.day_loss(model, [batch], LossWeights())
-    assert len(T.ComputationTape.trace(total).nodes) <= 94
+    assert len(T.ComputationTape.trace(total).nodes) <= 82
 
 
 # -- checkpoints -------------------------------------------------------------
