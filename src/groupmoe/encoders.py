@@ -43,12 +43,6 @@ class EncoderConfig:
         return problems
 
 
-@dataclass
-class HiddenStates:
-    z: Tensor  # [N_t, d_h]; row i belongs to the batch's stock_ids[i]
-    day: str
-
-
 def _steps(lo: int, count: int, t_len: int):
     """Key of ``count`` steps two apart from position ``lo`` of a [N, L, C]
     array. A single step of a longer window is an int index, so that its

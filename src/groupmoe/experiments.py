@@ -83,11 +83,13 @@ BASELINE_CFG = MoEConfig(groups=1, experts_per_group=1, top_k=1, d_e=8, agg_head
 
 
 def argmax_slot_by_stock(model: Forecaster, batches) -> tuple[np.ndarray, list[str]]:
-    """Per stock: the slot with the highest mean gate weight over the stream."""
+    """Per stock: the slot with the highest mean gate weight over the stream;
+    an unselected slot's weight is 0."""
     sums: dict[str, np.ndarray] = {}
     for b in batches:
         _, decision, _ = model.forward(b)
-        w = decision.weights.data.reshape(b.n_stocks, -1)
+        w = np.zeros((b.n_stocks, model.moe_cfg.n_slots))
+        np.put_along_axis(w, decision.selected, decision.weights.data, axis=1)
         for i, s in enumerate(b.stock_ids):
             sums.setdefault(s, np.zeros(w.shape[1]))
             sums[s] += w[i]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoders import HiddenStates, build_encoder
+from .encoders import build_encoder
 from .metrics import top_k_mask
 from .nn import Linear, ParamStore, uniform_init
 from .panel import DayBatch, PanelError
@@ -61,10 +61,9 @@ class MoEConfig:
 
 @dataclass
 class RoutingDecision:
-    logits: Tensor  # [N, G, E]
+    logits: Tensor  # [N, G*E]; slot s = j*E + k is expert k of group j
     selected: np.ndarray  # [N, k] flat slot indices, ascending
-    selected_weights: Tensor  # [N, k]; the gate weights of the selected slots, summing to 1
-    weights: Tensor  # [N, G, E]; the same weights in place, exact zeros elsewhere
+    weights: Tensor  # [N, k]; the gate weights of the selected slots, summing to 1
 
 
 def top_k_indices(logits: np.ndarray, k: int) -> np.ndarray:
@@ -76,15 +75,14 @@ def top_k_indices(logits: np.ndarray, k: int) -> np.ndarray:
 def route_from_logits(flat: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
     """Top-k selection plus softmax over the selected logits only.
 
-    Returns (selected indices [N, k], weights [N, n_slots]) where the
-    unselected positions hold exact zeros.
+    Returns (selected indices [N, k], their weights [N, k]); every other
+    slot's weight is zero by construction.
     """
     n_slots = flat.shape[1]
     if not (1 <= k <= n_slots):
         raise MoEConfigError(f"top_k {k} out of range [1, {n_slots}]")
     selected = top_k_indices(flat.data, k)
-    normed = T.softmax(T.take_rows(flat, selected))
-    return selected, T.scatter_rows(normed, selected, n_slots)
+    return selected, T.softmax(T.take_rows(flat, selected))
 
 
 class MoEHead:
@@ -110,6 +108,7 @@ class MoEHead:
             self.Wk = self.store.add("agg.Wk", wk.copy())
             self.Wv = self.store.add("agg.Wv", wv.copy())
         self.readout = Linear(self.store, "readout", d_e, 1, rng)
+        # unread, but kept: holding this buffer keeps glibc's mmap threshold up; without it wide predicts ran ~2x slower
         self.last_attention: np.ndarray | None = None  # [G, N, heads, E, E]
 
     def named_parameters(self):
@@ -117,32 +116,25 @@ class MoEHead:
 
     # -- routing ---------------------------------------------------------------
 
-    def gate_forward(self, z: HiddenStates) -> RoutingDecision:
-        cfg = self.cfg
-        n = z.z.shape[0]
-        flat = self.gate(z.z)  # [N, G*E]
-        selected, weights = route_from_logits(flat, cfg.top_k)
-        shape3 = (n, cfg.groups, cfg.experts_per_group)
-        return RoutingDecision(
-            logits=T.reshape(flat, shape3),
-            selected=selected,
-            selected_weights=T.take_rows(weights, selected),
-            weights=T.reshape(weights, shape3),
-        )
+    def gate_forward(self, z: Tensor) -> RoutingDecision:
+        logits = self.gate(z)
+        selected, weights = route_from_logits(logits, self.cfg.top_k)
+        return RoutingDecision(logits=logits, selected=selected, weights=weights)
 
     # -- experts ------------------------------------------------------------------
 
-    def run_experts(self, z: HiddenStates) -> Tensor:
-        """[N, G, E, d_e]: one independent affine map per slot on the shared state."""
+    def run_experts(self, z: Tensor) -> Tensor:
+        """[N, G, E, d_e]: one independent affine map per slot on the shared state [N, d_h]."""
         cfg = self.cfg
-        out = T.add(T.matmul(z.z, self.expert_W), self.expert_b)  # [N, G*E*d_e]
-        return T.reshape(out, (z.z.shape[0], cfg.groups, cfg.experts_per_group, cfg.d_e))
+        out = T.add(T.matmul(z, self.expert_W), self.expert_b)  # [N, G*E*d_e]
+        return T.reshape(out, (z.shape[0], cfg.groups, cfg.experts_per_group, cfg.d_e))
 
     def aggregate(self, raw: Tensor) -> Tensor:
         """Mix each group's expert vectors by self-attention; residual added.
 
-        Attention runs over all E experts of a group, for every group at
-        once; selection only masks contributions later, at combination time.
+        Every slot attends, over all E experts of its group, for every
+        group at once: the per-slot analysis path (``expert_outputs``).
+        The forward attends from the selected slots only.
         """
         if not self.cfg.inner_attention:
             return raw
@@ -154,15 +146,16 @@ class MoEHead:
         return T.add(raw, T.transpose(T.reshape(mixed, (g, n, e, d_e)), (1, 0, 2, 3)))
 
     def readout_slots(self, mixed: Tensor) -> Tensor:
-        """Shared scalar readout per slot: [N, G, E, d_e] -> [N, G, E]."""
-        n, g, e, d_e = mixed.shape
-        return T.reshape(self.readout(T.reshape(mixed, (n * g * e, d_e))), (n, g, e))
+        """Shared scalar readout per slot vector, [..., d_e] -> [...], as one
+        2-D product (a batch of smaller products sums in another order)."""
+        lead = mixed.shape[:-1]
+        return T.reshape(self.readout(T.reshape(mixed, (-1, mixed.shape[-1]))), lead)
 
-    def expert_outputs(self, z: HiddenStates) -> Tensor:
+    def expert_outputs(self, z: Tensor) -> Tensor:
         """[N, G, E] readouts of experts, inner-group mixing and readout: every slot, gate aside."""
         return self.readout_slots(self.aggregate(self.run_experts(z)))
 
-    def __call__(self, z: HiddenStates) -> tuple[Tensor, RoutingDecision, Tensor]:
+    def __call__(self, z: Tensor) -> tuple[Tensor, RoutingDecision, Tensor]:
         """(prediction [N], routing decision, readouts of the selected slots [N, k]).
 
         Only the k selected slots of each stock attend, over their own
@@ -178,10 +171,9 @@ class MoEHead:
             mixed = T.routed_attention(raw, decision.selected, self.Wq, self.Wk, self.Wv, cfg.agg_heads)
         else:
             cols = decision.selected[:, :, None] * cfg.d_e + np.arange(cfg.d_e)
-            mixed = T.take_rows(T.reshape(raw, (n, -1)), cols.reshape(n, -1))
-        # one 2-D product, as in readout_slots: a batch of [k, d_e] products sums in another order
-        readout = T.reshape(self.readout(T.reshape(mixed, (n * k, cfg.d_e))), (n, k))
-        return T.tsum(T.mul(decision.selected_weights, readout), axis=1), decision, readout
+            mixed = T.reshape(T.take_rows(T.reshape(raw, (n, -1)), cols.reshape(n, -1)), (n, k, cfg.d_e))
+        readout = self.readout_slots(mixed)
+        return T.tsum(T.mul(decision.weights, readout), axis=1), decision, readout
 
 
 class Forecaster:
@@ -216,13 +208,14 @@ class Forecaster:
                 raise ValueError(f"parameter {name}: shape {arr.shape} != {p.data.shape}")
             p.data = arr.copy()
 
-    def encode(self, batch: DayBatch) -> HiddenStates:
-        """The encoder state of a day; a non-finite window value is a
-        PanelError, also at a step the encoder does not read."""
+    def encode(self, batch: DayBatch) -> Tensor:
+        """The encoder state [N, d_h] of a day, row i for the batch's stock
+        i; a non-finite window value is a PanelError, also at a step the
+        encoder does not read."""
         if batch.n_stocks == 0:
             raise ValueError(f"empty batch for day {batch.day}")
         _finite(batch.windows, batch, "window", PanelError)
-        return HiddenStates(z=self.encoder(Tensor(batch.windows)), day=batch.day)
+        return self.encoder(Tensor(batch.windows))
 
     def forward(self, batch: DayBatch) -> tuple[Tensor, RoutingDecision, Tensor]:
         return self.head(self.encode(batch))

@@ -132,22 +132,6 @@ class NormStats:
         return cls(np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64))
 
 
-def compute_label(prices: np.ndarray, t: int) -> float | None:
-    """Two-day-forward return (p[t+2] - p[t+1]) / p[t+1] for one stock.
-
-    Returns None when a forward price is missing (the stock is dropped
-    from that day's batch); a non-positive p[t+1] is a data error.
-    """
-    if t + 2 >= prices.shape[0]:
-        return None
-    p1, p2 = prices[t + 1], prices[t + 2]
-    if math.isnan(p1) or math.isnan(p2):
-        return None
-    if p1 <= 0:
-        raise PanelError(f"non-positive price {p1} at index {t + 1}, the base of the label of index {t}")
-    return (p2 - p1) / p1
-
-
 def slice_day(panel: StockPanel, day: str, window: int) -> DayBatch:
     """Cross-section for one day: stocks with complete windows and labels.
 
@@ -257,10 +241,18 @@ def apply_normalization(panel: StockPanel, stats: NormStats) -> StockPanel:
         raise ConfigError(
             f"normalization is for {stats.mean.shape[0]} features, panel has {panel.n_features}"
         )
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite value; NaN stays "missing"
+        features = (panel.features - stats.mean) / stats.std
+    # fmin and fmax skip NaN, and two reductions allocate no panel-sized mask
+    lo, hi = (op.reduce(features, axis=None, initial=0.0) for op in (np.fmin, np.fmax))
+    if np.isinf(lo) or np.isinf(hi):
+        s, t, f = np.argwhere(np.isinf(features))[0].tolist()
+        raise PanelError(f"feature f_{f} of stock {panel.stocks[s]} on day {panel.days[t]}: the value"
+                         f" {float(panel.features[s, t, f])!r} normalizes to {float(features[s, t, f])}")
     return StockPanel(
         stocks=panel.stocks,
         days=panel.days,
-        features=(panel.features - stats.mean) / stats.std,
+        features=features,
         prices=panel.prices,
         membership=panel.membership,
     )

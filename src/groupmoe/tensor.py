@@ -607,7 +607,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                           lambda g: np.split(g, cuts, axis=ax))
 
 
-# -- gather / scatter (2-D, along axis 1) ----------------------------------------
+# -- gather (2-D, along axis 1) -------------------------------------------------
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -621,15 +621,3 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         return (z,)
 
     return Tensor._result(np.take_along_axis(a.data, idx, axis=1), (a,), vjp)
-
-
-def scatter_rows(vals: Tensor, idx: np.ndarray, width: int) -> Tensor:
-    """Inverse of take_rows: place vals[i, j] at out[i, idx[i, j]], zeros elsewhere.
-
-    Indices must be unique per row (they are arg-top-k positions here).
-    """
-    if vals.ndim != 2 or idx.shape != vals.shape:
-        raise ShapeError(f"scatter_rows: need matching [N,k] shapes, got {vals.shape}, {idx.shape}")
-    out = np.zeros((vals.shape[0], width))
-    np.put_along_axis(out, idx, vals.data, axis=1)
-    return Tensor._result(out, (vals,), lambda g: (np.take_along_axis(g, idx, axis=1),))

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from groupmoe import tensor as T
+from groupmoe.panel import PanelError
 
 
 def finite_diff_grad(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -65,6 +67,20 @@ def rewrite_meta(path, edit):
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
 
     rewrite_archive(path, edit_entry)
+
+
+def compute_label(prices: np.ndarray, t: int) -> float | None:
+    """Scalar oracle of the label rule: the two-day-forward return
+    (p[t+2] - p[t+1]) / p[t+1] of one stock's price row, None when a
+    forward price is missing; a non-positive p[t+1] is a PanelError."""
+    if t + 2 >= prices.shape[0]:
+        return None
+    p1, p2 = prices[t + 1], prices[t + 2]
+    if math.isnan(p1) or math.isnan(p2):
+        return None
+    if p1 <= 0:
+        raise PanelError(f"non-positive price {p1} at index {t + 1}, the base of the label of index {t}")
+    return (p2 - p1) / p1
 
 
 @pytest.fixture

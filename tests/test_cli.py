@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -502,6 +503,19 @@ def test_train_overflowing_train_feature_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "feature f_1" in err and "RuntimeWarning" not in err
     assert not (tmp_path / "out" / "checkpoint.npz").exists()
+
+
+def test_eval_feature_normalizing_to_inf_is_data_error(trained, capsys):
+    # 1.7e308 passes load_csv; over f_2's train std (about 0.91) it normalizes to inf
+    cfg, out = trained
+    set_cell(cfg, "s0003", "d0035", 2, 1.7e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["eval", "--config", str(cfg)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "feature f_2 of stock s0003 on day d0035: the value 1.7e+308 normalizes to inf" in err
+    assert not (out / "eval_report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "backtest"])

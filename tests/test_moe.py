@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from groupmoe import experiments as X
 from groupmoe import moe as M
 from groupmoe import tensor as T
 from groupmoe import train as TR
-from groupmoe.encoders import EncoderConfig, HiddenStates
+from groupmoe.encoders import EncoderConfig
 from groupmoe.objective import LossWeights
 from groupmoe.panel import DayBatch, PanelError
 
@@ -19,7 +20,7 @@ def make_head(g=2, e=3, k=2, d_e=4, d_h=6, heads=2, seed=0, inner=True):
 
 
 def hidden(rng, n=5, d_h=6):
-    return HiddenStates(z=T.Tensor(rng.normal(size=(n, d_h))), day="d000")
+    return T.Tensor(rng.normal(size=(n, d_h)))
 
 
 # -- gate ---------------------------------------------------------------------
@@ -39,13 +40,12 @@ def test_gate_topk_against_high_precision_oracle():
     logits = np.array([[2.0, 1.0, 0.0, -1.0]])
     idx = M.top_k_indices(logits, 2)
     assert idx.tolist() == [[0, 1]]
-    flat = T.Tensor(logits)
-    picked = T.take_rows(flat, idx)
-    w = T.scatter_rows(T.softmax(picked), idx, 4).data[0]
+    selected, weights = M.route_from_logits(T.Tensor(logits), 2)
+    assert selected.tolist() == [[0, 1]]  # slots 2 and 3 carry no weight
+    w = weights.data[0]
     e2, e1 = mpmath.exp(2), mpmath.exp(1)
     w0 = float(e2 / (e2 + e1))
     assert abs(w[0] - w0) < 1e-12 and abs(w[1] - (1.0 - w0)) < 1e-12
-    assert w[2] == 0.0 and w[3] == 0.0
 
 
 def test_gate_shift_invariance(rng):
@@ -78,14 +78,13 @@ def test_routing_invariants_random_instances():
         head, cfg = make_head(g=g, e=e, k=k, d_e=4, heads=1, seed=int(rng.integers(1 << 30)))
         n = int(rng.integers(1, 6))
         dec = head.gate_forward(hidden(rng, n=n))
-        w = dec.weights.data.reshape(n, -1)
-        logits = dec.logits.data.reshape(n, -1)
+        w = dec.weights.data
+        logits = dec.logits.data
+        assert logits.shape == (n, g * e) and w.shape == dec.selected.shape == (n, k)
         for i in range(n):
-            nz = np.flatnonzero(w[i])
-            assert len(nz) == k
-            assert np.all(w[i][nz] > 0)
-            assert abs(w[i][nz].sum() - 1.0) < 1e-9
-            assert nz.tolist() == brute_force_top_k(logits[i].tolist(), k)
+            assert np.all(w[i] > 0)
+            assert abs(w[i].sum() - 1.0) < 1e-9
+            assert dec.selected[i].tolist() == brute_force_top_k(logits[i].tolist(), k)
 
 
 def test_routing_tie_break_lowest_flat_index():
@@ -100,9 +99,9 @@ def test_routing_ties_across_top_k_boundary():
                        [-2.0, -1.0, -2.0, 0.0, -2.0, -2.0, -2.0]])
     selected, weights = M.route_from_logits(T.Tensor(logits), 3)
     assert selected.tolist() == [[1, 2, 3], [0, 1, 2], [0, 1, 3]]
-    for row, sel in zip(weights.data, selected):
-        nz = np.flatnonzero(row)
-        assert nz.tolist() == sel.tolist()
+    assert weights.shape == (3, 3)
+    for row in weights.data:
+        assert np.all(row > 0)
         assert abs(row.sum() - 1.0) < 1e-15
 
 
@@ -153,7 +152,7 @@ def test_run_experts_zeros():
 def test_run_experts_zero_state_gives_bias():
     head, cfg = make_head(g=2, e=2)
     head.expert_b.data = np.random.default_rng(1).normal(size=head.expert_b.shape)
-    z = HiddenStates(z=T.Tensor(np.zeros((3, 6))), day="d")
+    z = T.Tensor(np.zeros((3, 6)))
     o = head.run_experts(z).data
     for j in range(2):
         for k in range(2):
@@ -168,7 +167,7 @@ def test_run_experts_per_slot_oracle(rng):
     for j in range(2):
         for k in range(3):
             w, b = slot_weights(head, j, k)
-            want = z.z.data @ w + b
+            want = z.data @ w + b
             assert np.max(np.abs(o[:, j, k, :] - want)) < 1e-12
 
 
@@ -242,11 +241,19 @@ def test_aggregate_disabled_is_identity(rng):
 
 def dense_forward(head, z):
     """Oracle: every slot attends and is read out, then the gate weights
-    [N, G, E], exact zeros off the top k, combine all G*E readouts.
+    combine the selected slots' readouts, picked from all G*E.
     Returns (prediction [N], slot readouts [N, G, E])."""
-    weights = head.gate_forward(z).weights
+    decision = head.gate_forward(z)
     readout = head.readout_slots(head.aggregate(head.run_experts(z)))
-    return T.tsum(T.mul(weights, readout), axis=(1, 2)), readout
+    picked = T.take_rows(T.reshape(readout, (readout.shape[0], -1)), decision.selected)
+    return T.tsum(T.mul(decision.weights, picked), axis=1), readout
+
+
+def dense_weights(decision):
+    """The gate weights in place, [N, G*E], exact zeros off the top k."""
+    w = np.zeros(decision.logits.shape)
+    np.put_along_axis(w, decision.selected, decision.weights.data, axis=1)
+    return w
 
 
 def head_grads(head, y, upstream):
@@ -287,8 +294,8 @@ def test_routed_forward_matches_dense_oracle(g, e, tied, inner, rng):
             assert np.abs(readout.data - picked).max() <= 1e-15 * scale, (k, n)
 
             got, want = head_grads(head, y, upstream), head_grads(head, y_dense, upstream)
-            terms = decision.weights.data.reshape(n, -1) * upstream[:, None] * scale
-            gate_scale = {"moe.gate.W": (np.abs(z.z.data).T @ terms).max(), "moe.gate.b": terms.sum(axis=0).max()}
+            terms = dense_weights(decision) * upstream[:, None] * scale
+            gate_scale = {"moe.gate.W": (np.abs(z.data).T @ terms).max(), "moe.gate.b": terms.sum(axis=0).max()}
             for name, grad in want.items():
                 tol = 4e-15 * gate_scale.get(name, np.abs(grad).max())
                 assert np.abs(got[name] - grad).max() <= tol, (k, n, name)
@@ -319,7 +326,7 @@ def test_combine_double_loop_oracle(rng):
     head, cfg = make_head()
     z = hidden(rng, n=4)
     y = head(z)[0].data
-    w = head.gate_forward(z).weights.data
+    w = dense_weights(head.gate_forward(z)).reshape(4, 2, 3)
     r = dense_forward(head, z)[1].data
     for i in range(4):
         acc = 0.0
@@ -377,12 +384,29 @@ def test_forward_shapes_single_stock(rng):
     batch = make_batch(rng, n=1)
     y, dec, readout = model.forward(batch)
     assert y.shape == (1,)
-    assert dec.weights.shape == (1, 2, 3)
-    assert dec.selected.shape == dec.selected_weights.shape == readout.shape == (1, 2)
+    assert dec.logits.shape == (1, 6)
+    assert dec.selected.shape == dec.weights.shape == readout.shape == (1, 2)
     raw = model.head.run_experts(model.encode(batch))
     assert raw.shape == (1, 2, 3, 4)
     assert model.head.aggregate(raw).shape == (1, 2, 3, 4)
     assert model.head.expert_outputs(model.encode(batch)).shape == (1, 2, 3)
+
+
+def test_argmax_slot_by_stock_double_loop_oracle(rng):
+    # stocks come and go across days; each sums only its selected slots' weights
+    model = make_model(g=2, e=3, k=2)
+    batches = [make_batch(rng, n=n, day=f"d{t:03d}") for t, n in enumerate((5, 3, 6, 4))]
+    batches[1].stock_ids = ["s7", "s0", "s2"]
+    sums = {}
+    for b in batches:
+        _, decision, _ = model.forward(b)
+        for i, stock in enumerate(b.stock_ids):
+            acc = sums.setdefault(stock, [0.0] * 6)
+            for j in range(2):
+                acc[decision.selected[i, j]] += decision.weights.data[i, j]
+    slots, stocks = X.argmax_slot_by_stock(model, batches)
+    assert stocks == sorted(sums)
+    assert slots.tolist() == [max(range(6), key=lambda s: (sums[stock][s], -s)) for stock in stocks]
 
 
 @pytest.mark.parametrize("method", ["predict", "predict_per_slot"])

@@ -1,10 +1,13 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from groupmoe import panel as P
+
+from conftest import compute_label
 
 
 def make_panel(n_stocks=3, n_days=12, d=2, seed=0):
@@ -16,29 +19,38 @@ def make_panel(n_stocks=3, n_days=12, d=2, seed=0):
     return P.StockPanel(stocks=stocks, days=days, features=features, prices=prices)
 
 
-# -- compute_label ------------------------------------------------------------
+# -- labels ----------------------------------------------------------------------
+
+
+def day_one_label(prices):
+    """The label slice_day gives day 1 of a one-stock panel whose prices
+    from day 1 on are ``prices`` (``compute_label(prices, 0)``); None when
+    the stock is dropped."""
+    panel = P.StockPanel(stocks=["s0"], days=[f"d{i:03d}" for i in range(len(prices) + 1)],
+                         features=np.zeros((1, len(prices) + 1, 2)), prices=np.array([[1.0, *prices]]))
+    batch = P.slice_day(panel, "d001", window=1)
+    return batch.labels[0] if batch.stock_ids else None
 
 
 def test_label_basic_cases():
-    prices = np.array([90.0, 100.0, 105.0])
-    assert P.compute_label(prices, 0) == pytest.approx(0.05)
-    assert P.compute_label(np.array([90.0, 100.0, 100.0]), 0) == 0.0
-    assert P.compute_label(np.array([90.0, 80.0, 76.0]), 0) == pytest.approx(-0.05)
+    assert day_one_label([90.0, 100.0, 105.0]) == pytest.approx(0.05)
+    assert day_one_label([90.0, 100.0, 100.0]) == 0.0
+    assert day_one_label([90.0, 80.0, 76.0]) == pytest.approx(-0.05)
 
 
 def test_label_missing_forward_price():
-    assert P.compute_label(np.array([100.0, 100.0, np.nan]), 0) is None
-    assert P.compute_label(np.array([100.0, 100.0]), 0) is None
+    assert day_one_label([100.0, 100.0, np.nan]) is None
+    assert day_one_label([100.0, 100.0]) is None
 
 
 def test_label_nonpositive_base_price():
-    with pytest.raises(P.PanelError, match="at index 1, the base of the label of index 0"):
-        P.compute_label(np.array([1.0, 0.0, 1.0]), 0)
+    with pytest.raises(P.PanelError, match=r"non-positive price 0.0 of stock s0 on day d002 \(label of day d001\)"):
+        day_one_label([1.0, 0.0, 1.0])
 
 
 def test_label_sign_flips_with_reversed_move():
-    up = P.compute_label(np.array([1.0, 100.0, 103.0]), 0)
-    dn = P.compute_label(np.array([1.0, 100.0, 97.0]), 0)
+    up = day_one_label([1.0, 100.0, 103.0])
+    dn = day_one_label([1.0, 100.0, 97.0])
     assert up == -dn != 0
 
 
@@ -226,6 +238,22 @@ def test_normalization_refuses_overflowing_feature_without_warning():
             P.fit_normalization(panel, (panel.days[0], panel.days[20]))
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308])
+def test_normalization_refuses_value_that_normalizes_to_inf_without_warning(value):
+    # a finite test-period cell over a train std below 1 overflows the division
+    panel = make_panel(n_stocks=4, n_days=30, seed=5)
+    stats = P.NormStats(mean=np.zeros(2), std=np.array([1.0, 0.25]))
+    panel.features[2, 25, 1] = value
+    panel.features[0, 24, 0] = np.nan  # a missing cell stays missing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(P.PanelError, match=re.escape(f"feature f_1 of stock s2 on day d025: the value {value!r}")
+                                               + r" normalizes to -?inf"):
+            P.apply_normalization(panel, stats)
+        panel.features[2, 25, 1] = 0.0
+        assert np.isnan(P.apply_normalization(panel, stats).features[0, 24, 0])
+
+
 def test_normalization_constant_feature_keeps_unit_std():
     panel = make_panel(n_stocks=4, n_days=30, seed=5)
     panel.features[:, :, 0] = 3.0
@@ -265,7 +293,7 @@ def slice_day_loop(panel, day, window):
     for s in order:
         if not obs[s, lo : t + 1].all():
             continue
-        y = P.compute_label(panel.prices[s], t)
+        y = compute_label(panel.prices[s], t)
         if y is None:
             continue
         rows.append(panel.features[s, lo : t + 1, :])

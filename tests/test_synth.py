@@ -5,6 +5,8 @@ from groupmoe import panel as P
 from groupmoe import synth as S
 from groupmoe.metrics import daily_ic
 
+from conftest import compute_label
+
 
 def test_same_seed_identical_panels():
     cfg = S.SynthConfig(n_stocks=8, n_days=30, n_features=4, n_styles=2, seed=7)
@@ -21,7 +23,7 @@ def test_labels_recovered_exactly_by_price_rule():
     # the price chain makes the two-day forward return equal the generated label
     for s in range(5):
         for t in range(0, 18 - 2):
-            lab = P.compute_label(panel.prices[s], t)
+            lab = compute_label(panel.prices[s], t)
             score = (panel.features[s, t] - truth.signatures[truth.styles[s, t]]) @ truth.betas[truth.styles[s, t]]
             assert lab is not None
     # spot-check one stock against a reconstruction from prices
@@ -37,7 +39,7 @@ def test_noiseless_regression_recovers_beta():
     xs, ys = [], []
     for s in range(20):
         for t in range(40 - 2):
-            y = P.compute_label(panel.prices[s], t)
+            y = compute_label(panel.prices[s], t)
             xs.append(panel.features[s, t])
             ys.append(y)
     beta_hat, *_ = np.linalg.lstsq(np.asarray(xs), np.asarray(ys), rcond=None)
@@ -56,7 +58,7 @@ def test_two_orthogonal_styles_pooled_fit_is_worse():
                 continue
             for t in range(58):
                 xs.append(panel.features[s, t])
-                ys.append(P.compute_label(panel.prices[s], t))
+                ys.append(compute_label(panel.prices[s], t))
         return np.asarray(xs), np.asarray(ys)
 
     def r2(x, y):
@@ -92,7 +94,7 @@ def test_teacher_student_noiseless_bayes_ic_is_one():
     panel, truth = S.generate(cfg)
     t = 5
     preds = panel.features[:, t, :] @ truth.betas[0]
-    labels = np.array([P.compute_label(panel.prices[s], t) for s in range(30)])
+    labels = np.array([compute_label(panel.prices[s], t) for s in range(30)])
     assert daily_ic(preds, labels) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -104,7 +106,7 @@ def test_doubling_noise_lowers_bayes_ic():
         panel, truth = S.generate(cfg)
         t = 4
         preds = (panel.features[:, t, :] - truth.signatures[0]) @ truth.betas[0]
-        labels = np.array([P.compute_label(panel.prices[s], t) for s in range(400)])
+        labels = np.array([compute_label(panel.prices[s], t) for s in range(400)])
         ic = daily_ic(preds, labels)
         ics.append(ic)
         assert abs(ic - 1.0 / np.sqrt(1 + sigma**2)) < 0.12

@@ -177,14 +177,22 @@ def test_nonfinite_gradient_aborts_with_parameter_and_day(monkeypatch):
     assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
 
 
-def test_default_model_step_records_at_most_82_tape_nodes():
-    # the default model on a desk-scale day: 50 stocks, 8 features, window 5
-    model = Forecaster(EncoderConfig(), MoEConfig(), n_features=8, window=5, seed=0)
+def desk_step_tape_nodes(moe_cfg):
+    # a desk-scale day: 50 stocks, 8 features, window 5
+    model = Forecaster(EncoderConfig(), moe_cfg, n_features=8, window=5, seed=0)
     rng = np.random.default_rng(0)
     batch = P.DayBatch(day="d0", windows=rng.normal(size=(50, 5, 8)), labels=rng.normal(size=50),
                        stock_ids=[f"s{i:02d}" for i in range(50)])
     total, _ = TR.day_loss(model, [batch], LossWeights())
-    assert len(T.ComputationTape.trace(total).nodes) <= 82
+    return len(T.ComputationTape.trace(total).nodes)
+
+
+def test_default_model_step_records_at_most_79_tape_nodes():
+    assert desk_step_tape_nodes(MoEConfig()) <= 79
+
+
+def test_isolated_head_step_records_at_most_78_tape_nodes():
+    assert desk_step_tape_nodes(MoEConfig(inner_attention=False)) <= 78
 
 
 # -- checkpoints -------------------------------------------------------------
