@@ -101,32 +101,85 @@ class ConvEncoder:
         return counts
 
     def __call__(self, windows: Tensor) -> Tensor:
-        """The top layer's state at step T-1, through a linear projection.
-
-        A layer's input holds the steps spaced by the layer's dilation,
-        ending at T-1 and zero-padded in front where they would fall
-        before step 0. Its taps are then consecutive positions and its
-        outputs every second one, so every operand is a view.
-        """
-        n, t_len, _ = windows.shape
+        """The top layer's state at step T-1, through a linear projection."""
+        t_len = windows.shape[1]
         x = windows
         for (w, b, down), count in zip(self.layers, self.step_counts(t_len)):
-            if x.ndim == 2:  # the layer below computed step T-1 only: this dilation reaches before step 0
-                x = T.reshape(x, (n, 1, x.shape[1]))
-            kernel = w.shape[0]
-            pad = 2 * (count - 1) + kernel - x.shape[1]
-            xp = T.concat([Tensor(np.zeros((n, pad, x.shape[2]))), x], axis=1) if pad > 0 else x
-            first = xp.shape[1] - 2 * count + 1  # position of the earliest computed step
-            acc = None
-            for j in range(kernel):
-                tap = T.matmul(T.getitem(xp, _steps(first - j, count, t_len)), T.getitem(w, j))
-                acc = tap if acc is None else T.add(acc, tap)
-            y = T.relu(T.add(acc, b))
-            res = T.getitem(x, _steps(x.shape[1] - 2 * count + 1, count, t_len))
-            x = T.add(y, res if down is None else T.matmul(res, down))
+            x = conv_layer(x, w, b, down, count, t_len)
         if x.ndim == 3:  # a one-step window: [N, 1, d_h]
             x = T.getitem(x, np.s_[:, 0, :])
         return self.out(x)
+
+
+def conv_operands(x: np.ndarray, kernel: int, count: int, t_len: int):
+    """(input as [N, L, C], padded input, tap keys, residual key) of a conv layer.
+
+    A layer's input ([N, L, C], or [N, C] for the single step T-1) holds
+    the steps spaced by the layer's dilation, ending at T-1; the padded
+    input has zeros in front where they would fall before step 0. Tap j
+    reads ``count`` positions two apart from ``j`` before the earliest
+    computed step, and the residual the input's last ``count`` positions
+    two apart, so every operand is a view.
+    """
+    n = x.shape[0]
+    if x.ndim == 2:  # the layer below computed step T-1 only: this dilation reaches before step 0
+        x = x.reshape(n, 1, x.shape[1])
+    pad = 2 * (count - 1) + kernel - x.shape[1]
+    xp = np.concatenate([np.zeros((n, pad, x.shape[2])), x], axis=1) if pad > 0 else x
+    first = xp.shape[1] - 2 * count + 1  # position of the earliest computed step
+    taps = [_steps(first - j, count, t_len) for j in range(kernel)]
+    return x, xp, taps, _steps(x.shape[1] - 2 * count + 1, count, t_len)
+
+
+def conv_layer(x: Tensor, w: Tensor, b: Tensor, down: Tensor | None, count: int, t_len: int) -> Tensor:
+    """One causal dilated conv layer as one tape node: relu(sum_j tap_j @ w[j]
+    + b) plus the residual, through ``down`` where the widths differ.
+
+    Forward and vjp run the products, sums and masks of the composed graph
+    (padding concat, tap and weight slices, matmuls, adds, relu, residual)
+    in its order, so values and gradients keep its bytes. Where the
+    composed backward adds one zeros-plus-slice array per slice, this one
+    adds into one buffer that starts at +0.0: with two or more taps every
+    entry of the composed sum has passed through an add with a zero,
+    which turns -0.0 into +0.0 as the buffer does (with one tap the two
+    could differ only at a -0.0 entry of a matrix product, which sums from
+    +0.0 and so yields none). Without padding the residual's gradient
+    reaches the input first, with padding after the padded input's.
+    """
+    kernel, c_in, width = w.shape
+    x3, xp, taps, res_key = conv_operands(x.data, kernel, count, t_len)
+    pad = xp.shape[1] - x3.shape[1]
+    acc = None
+    for j, key in enumerate(taps):
+        tap = np.matmul(xp[key], w.data[j])
+        acc = tap if acc is None else acc + tap
+    pre = acc + b.data
+    mask = pre > 0
+    res = x3[res_key]
+    out = np.where(mask, pre, 0.0) + (res if down is None else np.matmul(res, down.data))
+
+    def vjp(g):
+        g_pre = g * mask
+        gw = np.zeros_like(w.data)
+        for j, key in enumerate(taps):
+            gw[j] += xp[key].reshape(-1, c_in).T @ g_pre.reshape(-1, width)
+        grads = [None, gw, g_pre.reshape(-1, width).sum(axis=0)]
+        if down is not None:
+            grads.append(res.reshape(-1, down.shape[0]).T @ g.reshape(-1, width))
+        if x.requires_grad:
+            g_res = g if down is None else np.matmul(g, down.data.T)
+            gxp = np.zeros(xp.shape)
+            gx = gxp[:, pad:]
+            if pad == 0:
+                gx[res_key] += g_res
+            for j in reversed(range(kernel)):
+                gxp[taps[j]] += np.matmul(g_pre, w.data[j].T)
+            if pad > 0:
+                gx[res_key] += g_res
+            grads[0] = gx.reshape(x.shape)
+        return grads
+
+    return Tensor._result(out, (x, w, b) if down is None else (x, w, b, down), vjp)
 
 
 class RecurrentEncoder:

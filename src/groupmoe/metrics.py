@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .panel import DayBatch
+from .tensor import top_k_mask
 
 TRADING_DAYS = 252
 
@@ -162,23 +163,6 @@ def _weights(signals: np.ndarray, mode: str, fraction: float, day: str | None) -
     if mode == "long_short":
         weights[top_k_mask(-signals, n_leg)] -= 1.0 / n_leg
     return weights
-
-
-def top_k_mask(x: np.ndarray, k: int) -> np.ndarray:
-    """[S, N] mask of the k largest entries per row: the first k positions
-    of a stable argsort of -x, so ties go to the lower index and NaN ranks
-    last. Found by partition, not by a sort."""
-    kth = -np.partition(-x, k - 1, axis=1)[:, k - 1, None]
-    above = x > kth
-    tied = x == kth
-    undefined = np.isnan(kth)  # fewer than k numbers in the row: the NaNs are the ties
-    if undefined.any():
-        nan = np.isnan(x)
-        above |= undefined & ~nan
-        tied |= undefined & nan
-    if np.count_nonzero(above) + np.count_nonzero(tied) > k * len(x):  # some row has spare ties
-        tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
-    return above | tied
 
 
 def build_portfolio(pred: np.ndarray, mode: str = "long_only", fraction: float = 0.05) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import build_encoder
-from .metrics import top_k_mask
 from .nn import Linear, ParamStore, uniform_init
 from .panel import DayBatch, PanelError
 from .tensor import Tensor
@@ -69,7 +68,7 @@ class RoutingDecision:
 def top_k_indices(logits: np.ndarray, k: int) -> np.ndarray:
     """Arg-top-k per row over flattened logits, ties to the lowest index
     and NaN last; [N, k] indices, ascending per row."""
-    return (np.flatnonzero(top_k_mask(logits, k)) % logits.shape[1]).reshape(-1, k)
+    return (np.flatnonzero(T.top_k_mask(logits, k)) % logits.shape[1]).reshape(-1, k)
 
 
 def route_from_logits(flat: Tensor, k: int) -> tuple[np.ndarray, Tensor]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -46,57 +45,100 @@ class LossBreakdown:
     total: float
 
 
-def daily_ic_tensor(pred: Tensor, label: np.ndarray) -> Tensor:
-    """Differentiable per-day Pearson correlation; labels are constants."""
+def _pearson(pred: np.ndarray, label: np.ndarray):
+    """(IC, vjp) of one day, the population Pearson correlation of pred with
+    the constant label.
+
+    Both halves run the arithmetic of the composed graph (centre, mean
+    product, clamped variances, sqrt, divide) op for op, so the value and
+    the gradient keep its bytes: pred_c's gradient is the square's term
+    plus the covariance's, and pred's is the centring's term plus the
+    mean's broadcast, in the order a backward sweep adds them.
+    """
     n = label.shape[0]
     label_c = label - label.mean()
-    pred_c = T.sub(pred, T.tmean(pred))
-    cov = T.tmean(T.mul(pred_c, T.Tensor(label_c)))
-    var_p = T.clamp_min(T.tmean(T.square(pred_c)), VAR_EPS)
-    var_y = max(float(np.mean(label_c * label_c)), VAR_EPS)
-    return T.div(cov, T.sqrt(T.mul(var_p, T.Tensor(var_y))))
+    pred_c = pred - pred.mean(axis=(0,))
+    cov = (pred_c * label_c).mean(axis=(0,))
+    var_raw = (pred_c * pred_c).mean(axis=(0,))
+    active = var_raw > VAR_EPS  # the clamp passes no gradient where it holds
+    var_y = np.asarray(max(float(np.mean(label_c * label_c)), VAR_EPS))
+    s = np.sqrt(np.where(active, var_raw, VAR_EPS) * var_y)
+
+    def vjp(g):
+        g_var = -g * cov / (s * s) * 0.5 / s * var_y * active
+        g_pc = g_var / n * 2.0 * pred_c + g / s / n * label_c
+        return g_pc + (-g_pc).sum() / n
+
+    return cov / s, vjp
+
+
+def daily_ic_tensor(pred: Tensor, label: np.ndarray) -> Tensor:
+    """Differentiable per-day Pearson correlation; labels are constants. One tape node."""
+    ic, vjp = _pearson(pred.data, label)
+    return Tensor._result(ic, (pred,), lambda g: (vjp(g),))
 
 
 def expert_loss(preds: list[Tensor], labels: list[np.ndarray]) -> Tensor:
-    """Negative mean daily IC over the batch of days.
+    """Negative mean daily IC over the batch of days, as one tape node.
 
     Days with fewer than two stocks cannot define a cross-sectional
     correlation; they are skipped with a warning.
     """
     if len(preds) != len(labels):
         raise ValueError(f"{len(preds)} prediction days vs {len(labels)} label days")
-    terms = []
+    days, terms, vjps = [], [], []
     for pred, label in zip(preds, labels):
         if label.shape[0] < 2:
             log.warning("skipping day with %d stock(s) in expert loss", label.shape[0])
             continue
-        terms.append(daily_ic_tensor(pred, label))
+        ic, vjp = _pearson(pred.data, label)
+        days.append(pred)
+        terms.append(ic)
+        vjps.append(vjp)
     if not terms:
         raise ValueError("no day with >= 2 stocks; expert loss undefined")
     acc = terms[0]
     for t in terms[1:]:
-        acc = T.add(acc, t)
-    return T.neg(T.div(acc, T.Tensor(float(len(terms)))))
+        acc = acc + t
+    count = np.asarray(float(len(terms)))
+
+    def vjp(g):
+        g_day = -g / count
+        return tuple(day_vjp(g_day) for day_vjp in vjps)
+
+    return Tensor._result(-(acc / count), tuple(days), vjp)
 
 
 def router_loss(logits_by_day: list[Tensor]) -> Tensor:
     """Sum over days, stocks of squared deviation of the G*E logits from
     their per-stock mean. Summed, not averaged; the small alpha carries
-    the scale."""
-    total = None
-    for h in logits_by_day:
-        n = h.shape[0]
-        flat = T.reshape(h, (n, -1))
-        centered = T.sub(flat, T.tmean(flat, axis=1, keepdims=True))
-        term = T.tsum(T.square(centered))
-        total = term if total is None else T.add(total, term)
-    if total is None:
+    the scale. One tape node; value and gradients keep the bytes of the
+    composed centre, square and sum."""
+    if not logits_by_day:
         raise ValueError("router loss needs at least one day of logits")
-    return total
+    centered, total = [], None
+    for h in logits_by_day:
+        flat = h.data.reshape(h.shape[0], -1)
+        c = flat - flat.mean(axis=(1,), keepdims=True)
+        term = (c * c).sum(axis=(0, 1))
+        centered.append(c)
+        total = term if total is None else total + term
+
+    def vjp(g):
+        grads = []
+        for h, c in zip(logits_by_day, centered):
+            g_c = g * 2.0 * c
+            grads.append((g_c + (-g_c).sum(axis=1, keepdims=True) / c.shape[1]).reshape(h.shape))
+        return tuple(grads)
+
+    return Tensor._result(total, tuple(logits_by_day), vjp)
 
 
 def total_loss(expert: Tensor, router: Tensor, weights: LossWeights) -> tuple[Tensor, LossBreakdown]:
-    total = T.add(T.mul(T.Tensor(weights.beta), expert), T.mul(T.Tensor(weights.alpha), router))
+    """beta * expert + alpha * router, one tape node, and its breakdown."""
+    beta, alpha = np.asarray(weights.beta, dtype=np.float64), np.asarray(weights.alpha, dtype=np.float64)
+    total = Tensor._result(beta * expert.data + alpha * router.data, (expert, router),
+                           lambda g: (g * beta, g * alpha))
     breakdown = LossBreakdown(
         expert_loss=expert.item(),
         router_loss=router.item(),

@@ -144,32 +144,32 @@ def slice_day(panel: StockPanel, day: str, window: int) -> DayBatch:
             f"day {day!r} at index {t} has fewer than {window} prior days"
         )
     lo = t - window + 1
+    if t + 2 >= len(panel.days):  # the label horizon lies past the panel: no stock has a label
+        return DayBatch(day=day, windows=np.empty((0, window, panel.n_features)), labels=np.empty(0), stock_ids=[])
     complete = _observed(panel.prices[:, lo : t + 1], panel.features[:, lo : t + 1]).all(axis=1)
-    return _day_batch(panel, t, window, complete, _id_order(panel.stocks))
+    order = _id_order(panel.stocks)
+    p1, p2 = panel.prices[order, t + 1], panel.prices[order, t + 2]
+    return _day_batch(panel, t, window, complete[order] & ~(np.isnan(p1) | np.isnan(p2)), p1, p2, order)
 
 
 def _id_order(stocks: list[str]) -> np.ndarray:
     return np.argsort(np.asarray(stocks, dtype=object), kind="stable")
 
 
-def _day_batch(panel: StockPanel, t: int, window: int, complete: np.ndarray, order: np.ndarray) -> DayBatch:
-    """Batch for day index t from ``complete`` ([n_stocks], whole window
-    observed); rows follow ``order``, the stocks' identifier order."""
-    keep = complete[order]
-    if t + 2 < len(panel.days):
-        p1, p2 = panel.prices[order, t + 1], panel.prices[order, t + 2]
-        keep &= ~(np.isnan(p1) | np.isnan(p2))
-        bad = np.flatnonzero(keep & (p1 <= 0))
-        if bad.size:
-            raise PanelError(f"non-positive price {p1[bad[0]]} of stock {panel.stocks[order[bad[0]]]}"
-                             f" on day {panel.days[t + 1]} (label of day {panel.days[t]})")
-        labels = ((p2[keep] - p1[keep]) / p1[keep]).astype(np.float64, copy=False)
-    else:
-        keep[:] = False
-        labels = np.empty(0)
+def _day_batch(panel: StockPanel, t: int, window: int, keep: np.ndarray, p1: np.ndarray, p2: np.ndarray,
+               order: np.ndarray) -> DayBatch:
+    """Batch for day index t. Rows follow ``order``, the stocks' identifier
+    order, and so do ``keep`` (whole window observed, both label prices
+    present) and the label prices ``p1`` and ``p2`` (at t + 1 and t + 2);
+    a kept stock whose base price p1 is not positive is an error."""
+    bad = np.flatnonzero(keep & (p1 <= 0))
+    if bad.size:
+        raise PanelError(f"non-positive price {p1[bad[0]]} of stock {panel.stocks[order[bad[0]]]}"
+                         f" on day {panel.days[t + 1]} (label of day {panel.days[t]})")
     rows = order[keep]
     return DayBatch(day=panel.days[t], windows=panel.features[rows, t - window + 1 : t + 1],
-                    labels=labels, stock_ids=[panel.stocks[s] for s in rows.tolist()])
+                    labels=((p2[keep] - p1[keep]) / p1[keep]).astype(np.float64, copy=False),
+                    stock_ids=[panel.stocks[s] for s in rows.tolist()])
 
 
 def _boundary_index(days: list[str], ident: str) -> int:
@@ -204,10 +204,13 @@ def split(panel: StockPanel, spec: SplitSpec, window: int) -> tuple[list[DayBatc
     order = _id_order(panel.stocks)
     streams = []
     for interval in (spec.train, spec.validation, spec.test):
-        days = _split_days(panel.days, interval, window)
+        days = _split_days(panel.days, interval, window)  # every day's label horizon lies inside the panel
         ts = np.arange(days.start, days.stop)
-        complete = seen[:, ts + 1] - seen[:, ts + 1 - window] == window
-        batches = [_day_batch(panel, t, window, complete[:, i], order) for i, t in enumerate(ts.tolist())]
+        # the label prices and masks of all the stream's days at once, [days, stocks in identifier order]
+        p1, p2 = panel.prices[order, (ts + 1)[:, None]], panel.prices[order, (ts + 2)[:, None]]
+        complete = (seen[:, ts + 1] - seen[:, ts + 1 - window] == window).T[:, order]
+        keep = complete & ~(np.isnan(p1) | np.isnan(p2))
+        batches = [_day_batch(panel, t, window, k, a, b, order) for t, k, a, b in zip(ts.tolist(), keep, p1, p2)]
         streams.append([b for b in batches if b.n_stocks > 0])
     return streams[0], streams[1], streams[2]
 

@@ -107,7 +107,10 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple, vjp) -> "Tensor":
-        """A node over ``parents``; it keeps them and ``vjp`` only if one needs a gradient."""
+        """A node over ``parents``; it keeps them and ``vjp`` only if one needs a gradient.
+
+        Fused ops outside this module (a conv layer, the loss terms) make
+        their one node here too."""
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out._parents, out._vjp = parents, vjp
@@ -334,24 +337,26 @@ def _key_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def _key_sum(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=0) for a 2-D x, byte for byte the row sums numpy takes of x.T.
+def _key_sum(x: np.ndarray, identity: bool = True) -> np.ndarray:
+    """x.sum(axis=0) for an x of two or more dimensions, byte for byte the
+    row sums numpy takes of x.T.
 
     Replays numpy's pairwise order down the rows of x, one elementwise add
-    over all columns at a time: below 8 rows a sequential sum from 0.0; up
-    to 128, eight accumulators combined as a fixed tree, then the leftover
-    rows in sequence, all added to numpy's identity +0.0 (which turns a
-    -0.0 sum into +0.0); above 128, the sum of the two halves split at a
-    multiple of 8.
+    over all columns at a time: below 8 rows a sequential sum; up to 128,
+    eight accumulators combined as a fixed tree, then the leftover rows in
+    sequence; above 128, the sum of the two halves split at a multiple of
+    8. With ``identity`` all of it is added to numpy's identity +0.0
+    (which turns a -0.0 sum into +0.0); without, the sum starts from x's
+    first row, as it does in a reduction that seeds with its first element.
     """
     n = len(x)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        r = _key_sum(x[:half])
-        r += _key_sum(x[half:])
+        r = _key_sum(x[:half], identity)
+        r += _key_sum(x[half:], identity)
         return r
     if n < 8:
-        r, rest = x[0] + 0.0, x[1:]
+        r, rest = x[0] + 0.0 if identity else x[0].copy(), x[1:]
     else:
         a = [x[j] + x[j + 8] if n >= 16 else x[j] for j in range(8)]
         for i in range(16, n - n % 8, 8):
@@ -359,10 +364,29 @@ def _key_sum(x: np.ndarray) -> np.ndarray:
                 a[j] += x[i + j]
         r, rest = (a[0] + a[1]) + (a[2] + a[3]), x[n - n % 8 :]
         r += (a[4] + a[5]) + (a[6] + a[7])
-        r += 0.0
+        if identity:
+            r += 0.0
     for row in rest:
         r += row
     return r
+
+
+def _segment_sums(x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """np.add.reduceat(x, first, axis=0) byte for byte, for ascending
+    segment starts ``first`` with first[0] == 0.
+
+    reduceat seeds each segment's sum with its first row and adds numpy's
+    pairwise sum of the other rows, itself seeded with their first row (so
+    a segment of -0.0 sums to -0.0). The segments of each distinct length
+    are stacked, [length, segments, ...], and replayed at once.
+    """
+    lengths = np.diff(first, append=len(x))
+    out = np.empty((len(first),) + x.shape[1:])
+    for length in np.unique(lengths):
+        segs = np.flatnonzero(lengths == length)
+        rows = x[first[segs] + np.arange(length)[:, None]]
+        out[segs] = rows[0] if length == 1 else rows[0] + _key_sum(rows[1:], identity=False)
+    return out
 
 
 def _softmax_keys(x: np.ndarray, scale=None) -> None:
@@ -561,7 +585,7 @@ def routed_attention(x: Tensor, rows: np.ndarray, wq: Tensor, wk: Tensor, wv: Te
         dwv = (d_cv.reshape(g, heads, d, d) * head_of[None, :, None, :]).sum(axis=1)
         dx = np.zeros((n * g, e, d))
         first = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])  # an item's queries in a group are adjacent
-        dx[block[first]] = np.add.reduceat(do, first, axis=0)
+        dx[block[first]] = _segment_sums(do, first)
         dx = dx.reshape(n * g * e, d)
         dx[query] += dxq
         return dx.reshape(x.shape), np.matmul(d_qk, b_k.transpose(0, 2, 1)), dwk, dwv
@@ -621,3 +645,26 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         return (z,)
 
     return Tensor._result(np.take_along_axis(a.data, idx, axis=1), (a,), vjp)
+
+
+# -- selection -------------------------------------------------------------------
+#
+# Not a tape op: the partition that both the gate's top-k and the
+# portfolio legs of the metrics use.
+
+
+def top_k_mask(x: np.ndarray, k: int) -> np.ndarray:
+    """[S, N] mask of the k largest entries per row: the first k positions
+    of a stable argsort of -x, so ties go to the lower index and NaN ranks
+    last. Found by partition, not by a sort."""
+    kth = -np.partition(-x, k - 1, axis=1)[:, k - 1, None]
+    above = x > kth
+    tied = x == kth
+    undefined = np.isnan(kth)  # fewer than k numbers in the row: the NaNs are the ties
+    if undefined.any():
+        nan = np.isnan(x)
+        above |= undefined & ~nan
+        tied |= undefined & nan
+    if np.count_nonzero(above) + np.count_nonzero(tied) > k * len(x):  # some row has spare ties
+        tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
+    return above | tied

@@ -53,7 +53,20 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment optimizer, decay 0.9/0.999, eps 1e-8, bias-corrected."""
+    """Adaptive-moment optimizer, decay 0.9/0.999, eps 1e-8, bias-corrected.
+
+    From the first step on, the moments are two flat vectors over all
+    parameters in parameter order, and ``m`` and ``v`` map each
+    parameter's name to its view of them. Building an optimizer allocates
+    what a per-tensor optimizer would, one zeros array per parameter and
+    moment, so that it costs what it did; the first step copies them into
+    the flat vectors. A step runs the textbook update once over the whole
+    vector, with the per-element operations of the per-tensor formula, in
+    place on the moments, the step's flat gradient and one scratch vector;
+    the gradient's vector then becomes the new parameter vector, and each
+    parameter's ``.data`` is rebound to its view of it. A parameter
+    without a gradient keeps its value and moments.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -63,18 +76,50 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params}
         self.v = {name: np.zeros_like(p.data) for name, p in params}
+        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # m, v, scratch
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        bounds = np.cumsum([0] + [p.data.size for _, p in self.params])
+        return {name: flat[lo:hi].reshape(p.data.shape)
+                for (name, p), lo, hi in zip(self.params, bounds[:-1], bounds[1:])}
+
+    def load_moments(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray]) -> None:
+        """Copy per-name moments (a train state's ``adam_m``, ``adam_v``) into this optimizer's."""
+        for name in self.m:
+            self.m[name][...] = m[name]
+            self.v[name][...] = v[name]
 
     def step(self) -> None:
         self.t += 1
-        for name, p in self.params:
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self.m[name] = self.BETA1 * self.m[name] + (1 - self.BETA1) * g
-            v = self.v[name] = self.BETA2 * self.v[name] + (1 - self.BETA2) * g * g
-            m_hat = m / (1 - self.BETA1**self.t)
-            v_hat = v / (1 - self.BETA2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        if self._flat is None:  # the maps' entries become views of the flat moments, in the same dicts
+            m, v = (np.concatenate([moments[name].reshape(-1) for name, _ in self.params])
+                    for moments in (self.m, self.v))
+            self.m.update(self._views(m))
+            self.v.update(self._views(v))
+            self._flat = m, v, np.empty_like(m)
+        m, v, a = self._flat
+        kept = [(name, self.m[name].copy(), self.v[name].copy()) for name, p in self.params if p.grad is None]
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1) for _, p in self.params])
+        np.multiply(m, self.BETA1, out=m)  # m = BETA1 * m + (1 - BETA1) * g
+        np.multiply(g, 1 - self.BETA1, out=a)
+        m += a
+        np.multiply(v, self.BETA2, out=v)  # v = BETA2 * v + (1 - BETA2) * g * g
+        np.multiply(g, 1 - self.BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1 - self.BETA1**self.t, out=a)  # a = lr * m_hat / (sqrt(v_hat) + EPS), the divisor in g
+        a *= self.lr
+        np.divide(v, 1 - self.BETA2**self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.EPS
+        a /= g
+        np.concatenate([p.data.reshape(-1) for _, p in self.params], out=g)  # g becomes the new parameter vector
+        g -= a
+        for name, m_kept, v_kept in kept:
+            self.m[name][...], self.v[name][...] = m_kept, v_kept
+        for (_, p), view in zip(self.params, self._views(g).values()):
+            if p.grad is not None:
+                p.data = view
 
 
 def day_loss(model: Forecaster, batches: list[DayBatch], weights: LossWeights) -> tuple[T.Tensor, LossBreakdown]:
@@ -172,7 +217,9 @@ def train(model: Forecaster, train_batches: list[DayBatch], val_batches: list[Da
     else:
         state = resume
         model.load_state_arrays(state.params)
-        optimizer.t, optimizer.m, optimizer.v = state.optimizer_t, state.adam_m, state.adam_v
+        optimizer.t = state.optimizer_t
+        optimizer.load_moments(state.adam_m, state.adam_v)
+        state.adam_m, state.adam_v = optimizer.m, optimizer.v
         rng.bit_generator.state = state.rng_state
     history: list[dict] = []
 

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from groupmoe import cli
+from groupmoe import encoders as EN
 from groupmoe import metrics as ME
 from groupmoe import panel as P
 from groupmoe import tensor as T
@@ -562,13 +563,23 @@ def test_gradcheck_passes_and_reports_groups(tmp_path, capsys):
 
 
 def test_gradcheck_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
-    # negative control: relu with its gradient scaled by 1.5; the recurrent
-    # encoder uses no relu and still passes
+    # negative control: relu (the attention encoder's feed-forward) and the
+    # conv layer node, each with its gradients scaled by 1.5; the recurrent
+    # encoder uses neither and still passes
     def bad_relu(a):
         mask = a.data > 0
         return T.Tensor._result(np.where(mask, a.data, 0.0), (a,), lambda g: (1.5 * g * mask,))
 
+    conv_layer = EN.conv_layer
+
+    def bad_conv_layer(*args):
+        out = conv_layer(*args)
+        vjp = out._vjp
+        out._vjp = lambda g: [None if d is None else 1.5 * d for d in vjp(g)]
+        return out
+
     monkeypatch.setattr(T, "relu", bad_relu)
+    monkeypatch.setattr(EN, "conv_layer", bad_conv_layer)
     cfg = write_config(tmp_path)
     assert cli.main(["gradcheck", "--config", str(cfg)]) == 3
     out = capsys.readouterr().out

@@ -184,6 +184,97 @@ def test_total_gradient_through_both_terms(rng):
     check_grad(build, rng.normal(size=6))
 
 
+# -- the one-node losses against the composed graph -----------------------------
+
+
+def composed_daily_ic(pred, label):
+    label_c = label - label.mean()
+    pred_c = T.sub(pred, T.tmean(pred))
+    cov = T.tmean(T.mul(pred_c, T.Tensor(label_c)))
+    var_p = T.clamp_min(T.tmean(T.square(pred_c)), O.VAR_EPS)
+    var_y = max(float(np.mean(label_c * label_c)), O.VAR_EPS)
+    return T.div(cov, T.sqrt(T.mul(var_p, T.Tensor(var_y))))
+
+
+def composed_total(preds, labels, logits, weights):
+    """expert_loss, router_loss and total_loss as they were built from primitives."""
+    terms = [composed_daily_ic(p, y) for p, y in zip(preds, labels) if y.shape[0] >= 2]
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = T.add(acc, t)
+    expert = T.neg(T.div(acc, T.Tensor(float(len(terms)))))
+    router = None
+    for h in logits:
+        flat = T.reshape(h, (h.shape[0], -1))
+        term = T.tsum(T.square(T.sub(flat, T.tmean(flat, axis=1, keepdims=True))))
+        router = term if router is None else T.add(router, term)
+    return T.add(T.mul(T.Tensor(weights.beta), expert), T.mul(T.Tensor(weights.alpha), router))
+
+
+def normal_day(rng, n, slots=(6,)):
+    return rng.normal(size=n), rng.normal(size=n), rng.normal(size=(n, *slots))
+
+
+LOSS_CASES = {
+    "ordinary": lambda rng: [normal_day(rng, 50, (63,))],
+    "two_stocks": lambda rng: [normal_day(rng, 2)],
+    "constant_prediction": lambda rng: [(np.full(20, 0.3), rng.normal(size=20), rng.normal(size=(20, 6)))],
+    "clamped_variance": lambda rng: [(0.3 + 1e-6 * rng.normal(size=20), rng.normal(size=20), rng.normal(size=(20, 6)))],
+    "days_with_one_stock_skipped": lambda rng: [normal_day(rng, 30), normal_day(rng, 1), normal_day(rng, 7)],
+    "grouped_logits": lambda rng: [normal_day(rng, 40, (7, 9)), normal_day(rng, 12, (7, 9))],
+}
+
+
+@pytest.mark.parametrize("case", LOSS_CASES)
+def test_loss_nodes_match_composed_graph_bytes(case, rng):
+    days = LOSS_CASES[case](rng)
+    labels = [y for _, y, _ in days]
+    weights = O.LossWeights(alpha=3e-3, beta=1.5)
+    results = []
+    for build in ("nodes", "composed"):
+        preds = [T.Tensor(p, requires_grad=True) for p, _, _ in days]
+        logits = [T.Tensor(h, requires_grad=True) for _, _, h in days]
+        if build == "nodes":
+            total, _ = O.total_loss(O.expert_loss(preds, labels), O.router_loss(logits), weights)
+        else:
+            total = composed_total(preds, labels, logits, weights)
+        total.backward()
+        results.append([total.data] + [t.grad for t in preds + logits])
+    for got, want in zip(*results):
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
+def test_loss_terms_are_one_tape_node_each(rng):
+    preds = [T.Tensor(rng.normal(size=n), requires_grad=True) for n in (5, 1, 8)]
+    labels = [rng.normal(size=p.shape[0]) for p in preds]
+    logits = [T.Tensor(rng.normal(size=(p.shape[0], 2, 3)), requires_grad=True) for p in preds]
+    ic = O.daily_ic_tensor(preds[0], labels[0])
+    assert ic._parents == (preds[0],)
+    expert = O.expert_loss(preds, labels)
+    assert expert._parents == (preds[0], preds[2])
+    router = O.router_loss(logits)
+    assert router._parents == tuple(logits)
+    total, _ = O.total_loss(expert, router, O.LossWeights())
+    assert total._parents == (expert, router)
+    assert len(T.ComputationTape.trace(total).nodes) == 8  # 3 loss nodes, 2 days' predictions, 3 days' logits
+
+
+def test_daily_ic_tensor_gradient(rng):
+    label = rng.normal(size=7)
+    check_grad(lambda x: O.daily_ic_tensor(x, label), rng.normal(size=7))
+
+
+def test_expert_and_router_loss_gradients_over_several_days(rng):
+    labels = [rng.normal(size=6), rng.normal(size=1), rng.normal(size=5)]
+
+    def build(x):
+        days = [T.getitem(x, np.s_[:6]), T.getitem(x, np.s_[6:7]), T.getitem(x, np.s_[7:])]
+        grouped = T.reshape(T.tanh(x), (2, 2, 3))
+        return T.add(O.expert_loss(days, labels), O.router_loss([grouped, T.reshape(T.square(x), (3, 4))]))
+
+    check_grad(build, rng.normal(size=12))
+
+
 def test_loss_weights_validation():
     assert O.LossWeights(alpha=-1.0).validate()
     assert O.LossWeights(beta=0.0).validate()

@@ -108,6 +108,23 @@ def test_row_sum_replays_numpy_pairwise_order(width, rng):
     assert T._key_max(keys).tobytes() == x.max(axis=-1).tobytes()
 
 
+@pytest.mark.parametrize("length", range(1, 13))
+def test_segment_sums_replay_reduceat(length, rng):
+    # routed_attention's block scatter: segments of one length, then every
+    # length 1-12 mixed in one call, each with an all-(-0.0) segment
+    # (reduceat keeps -0.0 there); magnitudes spread over 40 orders
+    def rows(n):
+        return rng.normal(size=(n, 9, 4)) * np.exp(rng.uniform(-46, 46, (n, 9, 4)))
+
+    for lengths in (np.full(5, length), rng.permutation(np.r_[np.arange(1, 13), length])):
+        first = np.r_[0, np.cumsum(lengths)[:-1]]
+        x = rows(int(lengths.sum()))
+        x[first[1] : first[1] + lengths[1]] = -0.0
+        got, want = T._segment_sums(x, first), np.add.reduceat(x, first, axis=0)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[1]).all()
+
+
 @pytest.mark.parametrize("shape", [(5,), (4, 8), (3, 5, 9), (5000, 9), (2, 130), (3, 200)])
 def test_softmax_matches_three_line_formula_bytes(shape, rng):
     x = rng.normal(size=shape) * 10.0

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from groupmoe import experiments as EX
 from groupmoe import panel as P
 from groupmoe import synth as S
 from groupmoe import tensor as T
@@ -131,6 +132,66 @@ def test_adam_matches_textbook_recurrence():
         assert x.data[0] == pytest.approx(want_x, abs=1e-15)
 
 
+class PerTensorAdam:
+    """The optimizer as one update per parameter tensor, the flat Adam's oracle."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params}
+        self.v = {name: np.zeros_like(p.data) for name, p in params}
+
+    def step(self):
+        b1, b2, eps = TR.Adam.BETA1, TR.Adam.BETA2, TR.Adam.EPS
+        self.t += 1
+        for name, p in self.params:
+            if p.grad is None:
+                continue
+            g = p.grad
+            m = self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def same_optimizer_bytes(a, b, params_a, params_b):
+    return all(pa.data.tobytes() == pb.data.tobytes() and a.m[na].tobytes() == b.m[nb].tobytes()
+               and a.v[na].tobytes() == b.v[nb].tobytes() for (na, pa), (nb, pb) in zip(params_a, params_b))
+
+
+def test_flat_adam_matches_per_tensor_updates_on_the_desk_model():
+    models = [Forecaster(EncoderConfig(), MoEConfig(), n_features=8, window=5, seed=4) for _ in range(2)]
+    flat = TR.Adam(models[0].named_parameters(), lr=5e-3)
+    oracle = PerTensorAdam(models[1].named_parameters(), lr=5e-3)
+    rng = np.random.default_rng(6)
+    for s in range(6):
+        batch = P.DayBatch(day=f"d{s}", windows=rng.normal(size=(50, 5, 8)), labels=rng.normal(size=50),
+                           stock_ids=[f"s{i:02d}" for i in range(50)])
+        for model, opt in zip(models, (flat, oracle)):
+            TR.step(model, [batch], opt, TR.TrainConfig(), LossWeights())
+        assert same_optimizer_bytes(flat, oracle, models[0].named_parameters(), models[1].named_parameters()), s
+
+
+def test_flat_adam_parameter_without_gradient_keeps_data_and_moments(rng):
+    shapes = [(3, 4), (5,), (2, 2, 2)]
+    inits = [rng.normal(size=s) for s in shapes]
+    params = [[(f"p{i}", T.Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(inits)] for _ in range(2)]
+    flat, oracle = TR.Adam(params[0], lr=0.1), PerTensorAdam(params[1], lr=0.1)
+    for s in range(6):
+        grads = [None if (s + i) % 3 == 0 else rng.normal(size=a.shape) for i, a in enumerate(inits)]
+        held = [(p.data, flat.m[name].copy(), flat.v[name].copy()) for name, p in params[0]]
+        for ps in params:
+            for (_, p), g in zip(ps, grads):
+                p.grad = g
+        flat.step()
+        oracle.step()
+        assert same_optimizer_bytes(flat, oracle, params[0], params[1]), s
+        for (name, p), g, (data, m, v) in zip(params[0], grads, held):
+            if g is None:
+                assert p.data is data
+                assert flat.m[name].tobytes() == m.tobytes() and flat.v[name].tobytes() == v.tobytes()
+
+
 def test_gradient_coverage_all_parameters(tmp_path):
     # k = G*E so every slot is selected; every parameter must receive a
     # gradient and move after one step
@@ -177,22 +238,27 @@ def test_nonfinite_gradient_aborts_with_parameter_and_day(monkeypatch):
     assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters())
 
 
-def desk_step_tape_nodes(moe_cfg):
-    # a desk-scale day: 50 stocks, 8 features, window 5
-    model = Forecaster(EncoderConfig(), moe_cfg, n_features=8, window=5, seed=0)
+def desk_step_tape_nodes(moe_cfg, enc_cfg=EncoderConfig(), n=50, features=8):
+    # a desk-scale day: by default 50 stocks, 8 features, window 5
+    model = Forecaster(enc_cfg, moe_cfg, n_features=features, window=5, seed=0)
     rng = np.random.default_rng(0)
-    batch = P.DayBatch(day="d0", windows=rng.normal(size=(50, 5, 8)), labels=rng.normal(size=50),
-                       stock_ids=[f"s{i:02d}" for i in range(50)])
+    batch = P.DayBatch(day="d0", windows=rng.normal(size=(n, 5, features)), labels=rng.normal(size=n),
+                       stock_ids=[f"s{i:02d}" for i in range(n)])
     total, _ = TR.day_loss(model, [batch], LossWeights())
     return len(T.ComputationTape.trace(total).nodes)
 
 
-def test_default_model_step_records_at_most_79_tape_nodes():
-    assert desk_step_tape_nodes(MoEConfig()) <= 79
+def test_default_model_step_records_at_most_37_tape_nodes():
+    assert desk_step_tape_nodes(MoEConfig()) <= 37
 
 
-def test_isolated_head_step_records_at_most_78_tape_nodes():
-    assert desk_step_tape_nodes(MoEConfig(inner_attention=False)) <= 78
+def test_isolated_head_step_records_at_most_36_tape_nodes():
+    assert desk_step_tape_nodes(MoEConfig(inner_attention=False)) <= 36
+
+
+def test_acceptance_config_step_records_at_most_34_tape_nodes():
+    # criteria 5-8's model: SPECIALIZATION_ENCODER and MOE_CFG, on a 60-stock day of 24 features
+    assert desk_step_tape_nodes(EX.MOE_CFG, EncoderConfig(**EX.SPECIALIZATION_ENCODER), n=60, features=24) <= 34
 
 
 # -- checkpoints -------------------------------------------------------------
